@@ -7,12 +7,12 @@ activation maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dreaming import DreamConfig, dream_neuron
-from .nn import NeuronSelector, forward
+from .dreaming import DreamConfig, dream_layer
+from .nn import forward
 
 #: Upper entropy bound for a normalized 3x16 array: log2(48).
 MAX_ENTROPY = float(np.log2(48))
@@ -54,25 +54,20 @@ class EntropyProfile:
 def entropy_profile(model, k_inits=20, cfg=None):
     """Dream on every hidden neuron and aggregate entropies per layer.
 
-    Neurons whose dreams all produce zero PM arrays are excluded from the
-    layer mean and counted in dead_neurons. Per-neuron dream seeds are
-    derived from cfg.seed and the (layer, neuron) coordinates.
+    Each hidden layer is one batch of dreaming.dream_layer (every neuron x
+    every start). Neurons whose dreams all produce zero PM arrays are
+    excluded from the layer mean and counted in dead_neurons. Per-neuron
+    dream seeds are derived from cfg.seed and the (layer, neuron)
+    coordinates.
     """
-    base = cfg or DreamConfig()
+    cfg = cfg or DreamConfig()
     per_neuron = {}
     per_layer, dead = [], []
-    n_hidden = model.n_layers - 1
-    for layer in range(1, n_hidden + 1):
+    for layer in range(1, model.n_layers):
         values, n_dead = [], 0
-        for neuron in range(model.layer_sizes[layer]):
-            seed = np.random.SeedSequence([base.seed, layer, neuron]).generate_state(1)[0]
-            ncfg = DreamConfig(steps=base.steps, lr=base.lr,
-                               snapshot_stride=base.steps, clamp=base.clamp,
-                               use_adam=base.use_adam, seed=int(seed))
-            arrays = [arr for _, arr in dream_neuron(model, NeuronSelector(layer, neuron),
-                                                     k_inits, ncfg)]
+        for neuron, pairs in enumerate(dream_layer(model, layer, k_inits, cfg)):
             try:
-                h = neuron_entropy(arrays)
+                h = neuron_entropy([arr for _, arr in pairs])
                 values.append(h)
             except UndefinedEntropyError:
                 h = float("nan")

@@ -210,27 +210,16 @@ def cmd_dream(args):
 def cmd_dream_neuron(args):
     cfg = _resolve(args, {"inits": 20, "steps": 2000, "lr": 1e-4, "seed": 0})
     model = load_checkpoint(args.checkpoint)
-    dcfg = dreaming.DreamConfig(steps=cfg["steps"], lr=cfg["lr"],
-                                snapshot_stride=cfg["steps"], seed=cfg["seed"])
     results = dreaming.dream_neuron(model, nn.NeuronSelector(args.layer, args.neuron),
-                                    cfg["inits"], dcfg)
-    import csv
-    with open(args.out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["init"] + [f"w{i}" for i in range(24)]
-                        + [f"p_{d}_{k}" for d in "HVD" for k in range(16)])
-        for i, (graph, pm) in enumerate(results):
-            writer.writerow([i] + [f"{v:.17g}" for v in graph]
-                            + [f"{v:.17g}" for v in pm.ravel()])
+                                    cfg["inits"], _dream_config(cfg))
+    tables.write_neuron_dreams(results, args.out)
     return dict(cfg, layer=args.layer, neuron=args.neuron), [args.checkpoint], [args.out]
 
 
 def cmd_entropy(args):
     cfg = _resolve(args, {"inits": 20, "steps": 2000, "lr": 1e-4, "seed": 0})
     model = load_checkpoint(args.checkpoint)
-    dcfg = dreaming.DreamConfig(steps=cfg["steps"], lr=cfg["lr"],
-                                snapshot_stride=cfg["steps"], seed=cfg["seed"])
-    profile = analysis.entropy_profile(model, cfg["inits"], dcfg)
+    profile = analysis.entropy_profile(model, cfg["inits"], _dream_config(cfg))
     tables.write_entropy_profile(profile, args.out)
     means = ", ".join(f"{h:.3f}" for h in profile.per_layer)
     print(f"per-layer mean entropy: {means}")

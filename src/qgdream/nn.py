@@ -144,10 +144,11 @@ def predict(model, x):
     return forward(model, x)[0]
 
 
-def param_gradients(model, x, y):
+def param_gradients(model, x, y, *, return_loss=False):
     """Gradients of the mean squared error over the batch.
 
-    Returns (weight_grads, bias_grads) matching the model's parameter lists.
+    Returns (weight_grads, bias_grads) matching the model's parameter lists;
+    with return_loss, also the batch MSE from the same forward pass.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -155,6 +156,7 @@ def param_gradients(model, x, y):
         raise ValueError("batch inputs and labels must be nonempty and aligned")
     out, pres, posts = forward(model, x)
     n = len(y)
+    loss = float(np.mean((out - y) ** 2)) if return_loss else None
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
     if model.activate_output:
         delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
@@ -166,25 +168,105 @@ def param_gradients(model, x, y):
         if layer > 0:
             delta = (delta @ model.weights[layer]) * _activate_grad(
                 pres[layer - 1], model.activation, model.alpha)
+    if return_loss:
+        return w_grads, b_grads, loss
     return w_grads, b_grads
 
 
-def input_gradient(model, x):
-    """Gradient of the scalar output w.r.t. the input; parameters untouched.
+def _rowwise(a, w):
+    """a @ w one row at a time: row r is a[r] @ w, or a[r] @ w[r] for a stack.
+
+    NumPy evaluates a stacked product with one BLAS call per row, the same
+    call a lone (1, d) input gets, so row r's result is bit-identical for
+    every batch size. A plain (n, d) @ w is one gemm, whose rounding can
+    change with n.
+    """
+    return (a[:, None, :] @ w)[:, 0]
+
+
+def _selected_layers(model, select, n):
+    """Weights, biases and output activation of the sub-net each row ascends.
+
+    select is (layer, neurons), as in NeuronSelector with neurons either one
+    index or one per row; None selects the full net's scalar output. The
+    prefix layers are shared; the last entry of weights holds each row's
+    selected weight row as (n, 1, in), and of biases its bias as (n, 1).
+    """
+    if select is None:
+        if model.layer_sizes[-1] != 1:
+            raise ValueError("the full net's output is not a scalar; select a neuron")
+        layer, neurons = model.n_layers, 0
+    else:
+        layer, neurons = select
+    if not 1 <= layer <= model.n_layers:
+        raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")
+    neurons = np.broadcast_to(np.asarray(neurons, dtype=np.intp), (n,))
+    if np.any(neurons < 0) or np.any(neurons >= model.layer_sizes[layer]):
+        raise ValueError(f"neuron out of range for layer {layer}")
+    weights = model.weights[:layer - 1] + [model.weights[layer - 1][neurons][:, None, :]]
+    biases = model.biases[:layer - 1] + [model.biases[layer - 1][neurons][:, None]]
+    activate_output = layer < model.n_layers or model.activate_output
+    return weights, biases, activate_output
+
+
+def _forward_rows(model, x, select):
+    """Row-exact forward pass to each row's selected neuron.
+
+    Returns (pre-activations per layer, selected outputs (n,), weights,
+    activate_output); the last pre-activation is (n, 1).
+    """
+    if x.shape[1] != model.layer_sizes[0]:
+        raise ValueError(f"input width {x.shape[1]} != {model.layer_sizes[0]}")
+    weights, biases, activate_output = _selected_layers(model, select, len(x))
+    pres, a = [], x
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = _rowwise(a, np.swapaxes(w, -1, -2)) + b
+        pres.append(z)
+        if layer < len(weights) - 1 or activate_output:
+            a = _activate(z, model.activation, model.alpha)
+        else:
+            a = z
+    return pres, a[:, 0], weights, activate_output
+
+
+def _as_rows(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x.ndim == 1, np.atleast_2d(x)
+
+
+def selected_output(model, x, select=None):
+    """Each row's selected neuron (default: the scalar output), row-exact.
+
+    select is as in input_gradient. Accepts (d,) or (n, d); returns a float
+    or (n,) array. The value equals predict() on
+    truncate_at_neuron(model, NeuronSelector(layer, neurons[r])) for row r.
+    """
+    single, xb = _as_rows(x)
+    out = _forward_rows(model, xb, select)[1]
+    return out[0] if single else out
+
+
+def input_gradient(model, x, select=None):
+    """Gradient of each row's selected neuron w.r.t. the input.
+
+    select=None differentiates the full net's scalar output; select=(layer,
+    neurons) differentiates, for row r, neuron neurons[r] (or one shared
+    neuron) of layer, numbered as in NeuronSelector. The prefix layers run
+    for all rows at once; no truncated net is built. Every product runs one
+    row at a time (see _rowwise), so row r's gradient is bit-identical to
+    that of a lone input, at any batch size. Parameters are untouched.
 
     Accepts (d,) or (n, d); returns the matching shape.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    _, pres, _ = forward(model, xb)
+    single, xb = _as_rows(x)
+    pres, _, weights, activate_output = _forward_rows(model, xb, select)
     delta = np.ones((len(xb), 1))
-    if model.activate_output:
+    if activate_output:
         delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
-    for layer in range(model.n_layers - 1, 0, -1):
-        delta = (delta @ model.weights[layer]) * _activate_grad(
+    for layer in range(len(weights) - 1, 0, -1):
+        delta = _rowwise(delta, weights[layer]) * _activate_grad(
             pres[layer - 1], model.activation, model.alpha)
-    grad = delta @ model.weights[0]
+    grad = _rowwise(delta, weights[0])
     return grad[0] if single else grad
 
 
@@ -282,8 +364,8 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         for start in range(0, len(x_train) - batch + 1, batch):
             idx = order[start:start + batch]
             xb, yb = _symmetry_mapped(x_train, idx, rng), y_train[idx]
-            w_grads, b_grads = param_gradients(model, xb, yb)
-            batch_losses.append(float(np.mean((predict(model, xb) - yb) ** 2)))
+            w_grads, b_grads, loss = param_gradients(model, xb, yb, return_loss=True)
+            batch_losses.append(loss)
             opt.step(params, w_grads + b_grads, lr)
         train_mse = float(np.mean(batch_losses))
         test_mse = evaluate(model, x_test, y_test)

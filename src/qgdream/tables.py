@@ -28,12 +28,16 @@ def write_trajectory(traj, path):
 
 
 def write_ensemble(result, path):
-    """One row per successful run: run, initial_true, final_true."""
+    """One row per successful run: run, initial_true, final_true.
+
+    Each row carries the run's original index, so the ids of failed runs
+    are the ones missing.
+    """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["run", "initial_true", "final_true"])
-        for run, (first, last) in enumerate(zip(result.initial_true,
-                                                result.final_true)):
+        for run, first, last in zip(result.runs, result.initial_true,
+                                    result.final_true):
             writer.writerow([run, _fmt(first), _fmt(last)])
 
 
@@ -43,6 +47,16 @@ def read_ensemble(path):
         rows = list(csv.DictReader(f))
     return ([float(r["initial_true"]) for r in rows],
             [float(r["final_true"]) for r in rows])
+
+
+def write_neuron_dreams(results, path):
+    """One row per start: init, the 24 final weights, the 48 PM probabilities."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["init"] + [f"w{i}" for i in range(N_EDGES)]
+                        + [f"p_{d}_{k}" for d in "HVD" for k in range(16)])
+        for i, (graph, pm) in enumerate(results):
+            writer.writerow([i] + [_fmt(v) for v in graph] + [_fmt(v) for v in pm.ravel()])
 
 
 def write_entropy_profile(profile, path):

@@ -94,12 +94,16 @@ class TestEntropyProfile:
         # stub the dreaming stage: neuron (1,0) only ever yields zero arrays
         import qgdream.analysis as analysis_mod
 
-        def fake_dream_neuron(model, selector, k_inits, cfg):
-            if (selector.layer, selector.neuron) == (1, 0):
-                return [(np.zeros(24), np.zeros((3, 16)))] * k_inits
-            return [(np.zeros(24), spike(0, selector.neuron))] * k_inits
+        def fake_dream_layer(model, layer, k_inits, cfg):
+            results = []
+            for neuron in range(model.layer_sizes[layer]):
+                if (layer, neuron) == (1, 0):
+                    results.append([(np.zeros(24), np.zeros((3, 16)))] * k_inits)
+                else:
+                    results.append([(np.zeros(24), spike(0, neuron))] * k_inits)
+            return results
 
-        monkeypatch.setattr(analysis_mod, "dream_neuron", fake_dream_neuron)
+        monkeypatch.setattr(analysis_mod, "dream_layer", fake_dream_layer)
         m = init_mlp([24, 3, 1], seed=1)
         profile = entropy_profile(m, k_inits=2, cfg=DreamConfig(steps=1, lr=1e-2))
         assert profile.dead_neurons == [1]

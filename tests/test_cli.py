@@ -6,10 +6,11 @@ import pytest
 from qgdream.cli import main
 from qgdream.checkpoint import load_checkpoint, save_checkpoint
 from qgdream.dataset import read_dataset
+from qgdream.dreaming import DreamEnsembleResult
 from qgdream.manifest import parse_config
 from qgdream.nn import init_mlp
-from qgdream.tables import write_graph_weights
-from qgdream.states import GHZ_GRAPH
+from qgdream.tables import read_ensemble, write_ensemble, write_graph_weights
+from qgdream.states import GHZ_GRAPH, Property
 
 
 def sha(path):
@@ -101,6 +102,16 @@ def test_dream_ensemble_and_shift(workspace, tmp_path):
     assert main(["shift", "--ensemble", str(ens), "--out", str(shift)]) == 0
     text = shift.read_text()
     assert "mean_final" in text and "fraction_above_0.5" in text
+
+
+def test_ensemble_table_keeps_failed_run_ids(tmp_path):
+    # random starts are never degenerate, so the failed run is made by hand
+    result = DreamEnsembleResult(Property.GHZ_FIDELITY, np.array([0.125, 0.25]),
+                                 np.array([0.5, 0.75]), np.zeros((2, 24)), failures=[1])
+    out = tmp_path / "ens.csv"
+    write_ensemble(result, out)
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["run", "0", "2"]
+    assert read_ensemble(out) == ([0.125, 0.25], [0.5, 0.75])
 
 
 def test_dream_neuron(workspace, tmp_path):

@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from qgdream.analysis import UndefinedEntropyError, entropy_profile, neuron_entropy
 from qgdream.dreaming import (
     DreamConfig,
     dream,
     dream_ensemble,
     dream_neuron,
     dream_oracle,
+    run_seeds,
 )
-from qgdream.nn import NeuronSelector, init_mlp
-from qgdream.states import GHZ_GRAPH, DegenerateStateError, Property, random_graph
+from qgdream.nn import NeuronSelector, init_mlp, input_gradient, truncate_at_neuron
+from qgdream.states import (
+    GHZ_GRAPH,
+    DegenerateStateError,
+    Property,
+    pm_probability_array,
+    random_graph,
+)
 
 
 def small_cfg(**kw):
@@ -153,3 +161,57 @@ class TestDreamNeuron:
         before = m.checksum()
         dream_neuron(m, NeuronSelector(1, 0), 2, small_cfg(steps=10))
         assert m.checksum() == before
+
+
+class TestRowExactness:
+    """Each row of a batched dream equals that row dreamed alone, bit for bit."""
+
+    def test_ensemble_equals_solo_dreams(self):
+        m = init_mlp([24, 8, 8, 1], seed=13)
+        cfg = small_cfg(steps=40, lr=5e-2)
+        result = dream_ensemble(m, Property.GHZ_FIDELITY, 5, cfg)
+        assert result.failures == [] and result.runs == [0, 1, 2, 3, 4]
+        for run, seq in enumerate(run_seeds(cfg.seed, 5)):
+            solo = dream(m, random_graph(np.random.default_rng(seq)),
+                         Property.GHZ_FIDELITY, cfg)
+            assert result.initial_true[run] == solo.initial.true_value
+            assert result.final_true[run] == solo.final.true_value
+            assert np.array_equal(result.final_graphs[run], solo.final.weights)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256])
+    def test_selected_gradient_row_independent_of_batch_size(self, n):
+        m = init_mlp([24, 16, 12, 1], seed=14)
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, (n, 24))
+        for layer in (1, 2, 3):
+            neurons = rng.integers(m.layer_sizes[layer], size=n)
+            batch = input_gradient(m, x, select=(layer, neurons))
+            for r in range(n):
+                solo = input_gradient(m, x[r], select=(layer, neurons[r]))
+                truncated = truncate_at_neuron(m, NeuronSelector(layer, int(neurons[r])))
+                assert np.array_equal(batch[r], solo)
+                assert np.array_equal(batch[r], input_gradient(truncated, x[r]))
+
+    @pytest.mark.parametrize("use_adam", [False, True])
+    def test_entropy_profile_equals_per_neuron_reference(self, use_adam):
+        m = init_mlp([24, 6, 5, 1], seed=15)
+        cfg = DreamConfig(steps=30, lr=5e-2, snapshot_stride=30, seed=3,
+                          use_adam=use_adam)
+        profile = entropy_profile(m, k_inits=3, cfg=cfg)
+        for layer in (1, 2):
+            values = []
+            for neuron in range(m.layer_sizes[layer]):
+                seed = np.random.SeedSequence([cfg.seed, layer, neuron]).generate_state(1)[0]
+                truncated = truncate_at_neuron(m, NeuronSelector(layer, neuron))
+                arrays = []
+                for seq in run_seeds(int(seed), 3):
+                    solo = dream(truncated, random_graph(np.random.default_rng(seq)),
+                                 None, cfg)
+                    arrays.append(pm_probability_array(solo.final.weights))
+                try:
+                    expected = neuron_entropy(arrays)
+                    values.append(expected)
+                    assert profile.per_neuron[(layer, neuron)] == expected
+                except UndefinedEntropyError:
+                    assert math.isnan(profile.per_neuron[(layer, neuron)])
+            assert profile.per_layer[layer - 1] == float(np.mean(values))

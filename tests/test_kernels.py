@@ -3,6 +3,7 @@
 import numpy as np
 
 from qgdream import _kernels_py, kernels
+from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2
 from qgdream.states import random_graph
 
 
@@ -33,6 +34,19 @@ def test_state_jacobian_parity():
         g = random_graph(rng)
         assert np.max(np.abs(kernels.state_jacobian(g)
                              - _kernels_py.state_jacobian(g))) < 1e-15
+
+
+def test_state_jacobian_equals_accumulated_terms():
+    """Each (ket, edge) entry has one term, so scattering equals accumulating."""
+    rng = np.random.default_rng(4)
+    kets = np.arange(16)
+    for _ in range(200):
+        g = random_graph(rng)
+        expected = np.zeros((16, 24))
+        for d in range(3):
+            np.add.at(expected, (kets, MATCH_EDGE_1[d]), g[MATCH_EDGE_2[d]])
+            np.add.at(expected, (kets, MATCH_EDGE_2[d]), g[MATCH_EDGE_1[d]])
+        assert np.array_equal(_kernels_py.state_jacobian(g), expected)
 
 
 def test_jacobian_matches_finite_differences():

@@ -15,6 +15,7 @@ from qgdream.nn import (
     input_gradient,
     param_gradients,
     predict,
+    selected_output,
     train,
     truncate_at_neuron,
 )
@@ -137,6 +138,16 @@ class TestParamGradients:
         with pytest.raises(ValueError):
             param_gradients(m, np.zeros((0, 24)), np.zeros(0))
 
+    def test_loss_from_the_same_forward_pass(self):
+        m = init_mlp([24, 6, 1], seed=9)
+        x = np.random.default_rng(10).uniform(-1, 1, (30, 24))
+        y = np.random.default_rng(11).uniform(0, 0.5, 30)
+        w_grads, b_grads = param_gradients(m, x, y)
+        w_again, b_again, loss = param_gradients(m, x, y, return_loss=True)
+        for a, b in zip(w_grads + b_grads, w_again + b_again):
+            assert np.array_equal(a, b)
+        assert loss == float(np.mean((predict(m, x) - y) ** 2))
+
 
 class TestInputGradient:
     def test_zero_first_layer(self):
@@ -178,6 +189,25 @@ class TestInputGradient:
         batch = input_gradient(m, x)
         for i in range(7):
             assert np.allclose(batch[i], input_gradient(m, x[i]))
+
+    def test_selection_matches_truncated_net(self):
+        m = init_mlp([24, 5, 7, 1], activation="elu", alpha=0.1, seed=13)
+        x = np.random.default_rng(9).uniform(-1, 1, (4, 24))
+        for layer in (1, 2, 3):
+            for neuron in range(m.layer_sizes[layer]):
+                t = truncate_at_neuron(m, NeuronSelector(layer, neuron))
+                grads = input_gradient(m, x, select=(layer, neuron))
+                values = selected_output(m, x, select=(layer, neuron))
+                for r in range(4):
+                    assert np.array_equal(grads[r], input_gradient(t, x[r]))
+                    assert values[r] == predict(t, x[r])
+
+    def test_selection_out_of_range(self):
+        m = init_mlp([24, 4, 1], seed=0)
+        x = np.zeros((2, 24))
+        for select in ((1, 4), (1, [0, -1]), (3, 0), (0, 0)):
+            with pytest.raises(ValueError):
+                input_gradient(m, x, select=select)
 
 
 class TestAdam:
