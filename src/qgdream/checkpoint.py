@@ -23,6 +23,7 @@ import numpy as np
 from .nn import Mlp
 
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("layer_sizes", "activation", "alpha", "activate_output", "seed")
 
 
 class CheckpointError(ValueError):
@@ -52,16 +53,22 @@ def load_checkpoint(path):
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("qgdream-checkpoint"):
         raise CheckpointError(f"{path}: not a qgdream checkpoint")
-    version = lines[0].split()[1]
-    if int(version) != FORMAT_VERSION:
+    magic = lines[0].split()
+    if len(magic) < 2:
+        raise CheckpointError(f"{path}: checkpoint version missing")
+    if int(magic[1]) != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint version {version}, expected {FORMAT_VERSION}")
-    header = {}
-    pos = 1
-    for _ in range(5):
-        key, _, value = lines[pos].partition(" ")
-        header[key] = value
-        pos += 1
+            f"{path}: checkpoint version {magic[1]}, expected {FORMAT_VERSION}")
+    pos = 1 + len(_HEADER_KEYS)
+    if len(lines) < pos:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
+    header = dict(line.partition(" ")[::2] for line in lines[1:pos])
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    alpha = float(header["alpha"])
+    if not np.isfinite(alpha):
+        raise CheckpointError(f"{path}: non-finite alpha {header['alpha']}")
     layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
     weights, biases = [], []
     try:
@@ -78,6 +85,8 @@ def load_checkpoint(path):
             b = np.array([float(v) for v in lines[pos].split()])
             if len(b) != n:
                 raise CheckpointError(f"{path}: layer {i} bias length mismatch")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise CheckpointError(f"{path}: layer {i} has non-finite parameters")
             pos += 1
             weights.append(w)
             biases.append(b)
@@ -85,5 +94,5 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated checkpoint") from exc
     seed = None if header["seed"] == "none" else int(header["seed"])
     return Mlp(layer_sizes, header["activation"], weights, biases,
-               alpha=float(header["alpha"]),
+               alpha=alpha,
                activate_output=bool(int(header["activate_output"])), seed=seed)

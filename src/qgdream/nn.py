@@ -63,7 +63,6 @@ class TrainConfig:
     plateau_rel_tol: float = 1e-3  # "does not change significantly"
     convergence_patience: int = 400
     max_epochs: int = 5000
-    label_cap: float = 0.5
     seed: int = 0
 
 
@@ -344,6 +343,9 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     perm = rng.permutation(len(x))
     n_test = max(1, int(round(len(x) * cfg.test_fraction)))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
+    if len(train_idx) == 0:
+        raise ValueError(f"dataset of {len(x)} record(s) leaves no training row "
+                         f"after the {n_test}-row test split")
     x_train, y_train = x[train_idx], y[train_idx]
     x_test, y_test = x[test_idx], y[test_idx]
 

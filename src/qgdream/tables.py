@@ -7,6 +7,7 @@ precision so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from .edges import N_EDGES
@@ -115,6 +116,8 @@ def read_graph_weights(path):
     values = [float(v) for v in text.split()]
     if len(values) != N_EDGES:
         raise ValueError(f"{path}: expected {N_EDGES} weights, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{path}: graph weights must be finite")
     return values
 
 

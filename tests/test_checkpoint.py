@@ -65,3 +65,50 @@ def test_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kept", range(1, 6))
+def test_truncated_header(tmp_path, kept):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:kept]) + "\n")
+    with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_missing_version(tmp_path):
+    path = tmp_path / "net.ckpt"
+    path.write_text("qgdream-checkpoint\n")
+    with pytest.raises(CheckpointError, match="version missing"):
+        load_checkpoint(path)
+
+
+def test_header_key_missing(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    path.write_text(path.read_text().replace("alpha ", "alfa ", 1))
+    with pytest.raises(CheckpointError, match="lacks alpha"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["weights", "biases"])
+def test_non_finite_parameters(tmp_path, bad, part):
+    m = init_mlp([24, 4, 1], seed=0)
+    if part == "weights":
+        m.weights[1][0, 2] = float(bad)
+    else:
+        m.biases[1][0] = float(bad)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(m, path)
+    with pytest.raises(CheckpointError, match="layer 1 has non-finite parameters"):
+        load_checkpoint(path)
+
+
+def test_non_finite_alpha(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], activation="elu", seed=0), path)
+    path.write_text(path.read_text().replace("\nalpha 1\n", "\nalpha nan\n", 1))
+    with pytest.raises(CheckpointError, match="non-finite alpha"):
+        load_checkpoint(path)

@@ -175,3 +175,47 @@ def test_unknown_config_key_fails(workspace, tmp_path):
 def test_missing_file_error_exit(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "missing.qgdd"),
                  "--out", str(tmp_path / "x.ckpt")]) == 1
+
+
+def _header_only(ckpt, tmp_path):
+    path = tmp_path / "header.ckpt"
+    path.write_text("\n".join(ckpt.read_text().splitlines()[:3]) + "\n")
+    return path
+
+
+def _bare_magic(ckpt, tmp_path):
+    path = tmp_path / "bare.ckpt"
+    path.write_text("qgdream-checkpoint\n")
+    return path
+
+
+def _nan_weight(ckpt, tmp_path):
+    model = load_checkpoint(ckpt)
+    model.weights[0][0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    return path
+
+
+@pytest.mark.parametrize("make", [_header_only, _bare_magic, _nan_weight])
+def test_malformed_checkpoint_error_exit(workspace, tmp_path, capsys, make):
+    _, _, ckpt = workspace
+    bad = make(ckpt, tmp_path)
+    assert main(["dream", "--checkpoint", str(bad), "--runs", "3", "--steps", "5",
+                 "--out", str(tmp_path / "ens.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [
+    ["dream", "--steps", "5"], ["activations"], ["export"]])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_graph_error_exit(workspace, tmp_path, capsys, command, bad):
+    _, _, ckpt = workspace
+    graph = tmp_path / "graph.txt"
+    write_graph_weights([float(bad)] + list(GHZ_GRAPH[1:]), graph)
+    argv = command + ["--graph", str(graph), "--out", str(tmp_path / "out")]
+    if command[0] != "export":
+        argv += ["--checkpoint", str(ckpt)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(graph) in err

@@ -363,6 +363,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(np.zeros((0, 24)), np.zeros(0), [24, 4, 1], TrainConfig())
 
+    def test_no_training_row_rejected(self):
+        # one record goes to the test split, leaving an empty training split
+        x = np.random.default_rng(0).uniform(-1, 1, (1, 24))
+        with pytest.raises(ValueError, match="dataset of 1 record"):
+            train(x, np.zeros(1), [24, 4, 1], TrainConfig(max_epochs=1))
+
     def test_history_lengths(self):
         x, y = self.small_dataset(500, seed=5)
         cfg = TrainConfig(batch_size=250, seed=0, max_epochs=10,
