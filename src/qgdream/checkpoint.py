@@ -69,6 +69,11 @@ def load_checkpoint(path):
     alpha = float(header["alpha"])
     if not np.isfinite(alpha):
         raise CheckpointError(f"{path}: non-finite alpha {header['alpha']}")
+    if header["activation"] not in ("relu", "elu"):
+        raise CheckpointError(f"{path}: unknown activation {header['activation']!r}")
+    if header["activate_output"] not in ("0", "1"):
+        raise CheckpointError(
+            f"{path}: activate_output {header['activate_output']!r}, expected 0 or 1")
     layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
     weights, biases = [], []
     try:
@@ -79,12 +84,19 @@ def load_checkpoint(path):
                           for r in range(rows)])
             if w.shape != (rows, cols):
                 raise CheckpointError(f"{path}: layer {i} weight shape mismatch")
+            if w.shape != (layer_sizes[i + 1], layer_sizes[i]):
+                raise CheckpointError(
+                    f"{path}: layer {i} weights are {rows}x{cols}, but layer_sizes "
+                    f"give {layer_sizes[i + 1]}x{layer_sizes[i]}")
             pos += rows
             n = int(lines[pos].split()[-1])
             pos += 1
             b = np.array([float(v) for v in lines[pos].split()])
             if len(b) != n:
                 raise CheckpointError(f"{path}: layer {i} bias length mismatch")
+            if n != layer_sizes[i + 1]:
+                raise CheckpointError(f"{path}: layer {i} has {n} biases, but "
+                                      f"layer_sizes give {layer_sizes[i + 1]}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise CheckpointError(f"{path}: layer {i} has non-finite parameters")
             pos += 1
@@ -92,7 +104,10 @@ def load_checkpoint(path):
             biases.append(b)
     except IndexError as exc:
         raise CheckpointError(f"{path}: truncated checkpoint") from exc
+    if any(line.strip() for line in lines[pos:]):
+        raise CheckpointError(f"{path}: data after the {len(weights)} layers "
+                              f"that layer_sizes give")
     seed = None if header["seed"] == "none" else int(header["seed"])
     return Mlp(layer_sizes, header["activation"], weights, biases,
                alpha=alpha,
-               activate_output=bool(int(header["activate_output"])), seed=seed)
+               activate_output=header["activate_output"] == "1", seed=seed)

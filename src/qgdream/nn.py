@@ -2,6 +2,9 @@
 
 All arithmetic is float64. Models are plain dataclasses of numpy arrays;
 forward/backward are hand-written reverse mode (no autodiff framework).
+The batched forward and backward passes work in place: one fresh array per
+layer, which the backward pass reuses for its deltas, so a training batch
+does not churn through a dozen large temporaries.
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ class TrainConfig:
     max_epochs: int = 5000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max epochs must be >= 1, got {self.max_epochs}")
+
 
 @dataclass
 class TrainHistory:
@@ -109,11 +118,15 @@ def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
     return Mlp(sizes, activation, weights, biases, alpha=alpha, seed=seed)
 
 
-def forward(model, x):
-    """Forward pass; returns (outputs, pre_activations, post_activations).
+def _forward(model, x, keep_pre=False):
+    """(outputs, pre_activations, post_activations) of x, each layer in place.
 
-    x may be a single input (d,) or a batch (n, d). post_activations[0] is
-    the input itself; outputs has the trailing unit axis squeezed.
+    Every layer's post-activation is one fresh array: the product a @ w.T,
+    to which the bias is added and the ReLU applied in place. The
+    pre-activations are kept where something reads them: every layer with
+    keep_pre, else only the activated ELU layers, whose derivative needs z,
+    and the unactivated output (the same array as its post-activation).
+    Other entries are None. The lists stay batched for a single (d,) input.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -123,24 +136,39 @@ def forward(model, x):
     pres, posts = [], [a]
     last = model.n_layers - 1
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        pres.append(z)
-        if layer < last or model.activate_output:
-            a = _activate(z, model.activation, model.alpha)
+        a = a @ w.T
+        a += b
+        if layer == last and not model.activate_output:
+            pres.append(a)
+        elif model.activation == "relu":
+            pres.append(a.copy() if keep_pre else None)
+            np.maximum(a, 0.0, out=a)
         else:
-            a = z
+            pres.append(a)
+            a = _activate(a, model.activation, model.alpha)
         posts.append(a)
     out = a[:, 0] if a.shape[1] == 1 else a
     if single:
         out = out[0] if np.ndim(out) else out
+    return out, pres, posts
+
+
+def forward(model, x):
+    """Forward pass; returns (outputs, pre_activations, post_activations).
+
+    x may be a single input (d,) or a batch (n, d). post_activations[0] is
+    the input itself; outputs has the trailing unit axis squeezed.
+    """
+    out, pres, posts = _forward(model, x, keep_pre=True)
+    if np.ndim(x) == 1:
         pres = [p[0] for p in pres]
         posts = [p[0] for p in posts]
     return out, pres, posts
 
 
 def predict(model, x):
-    """Scalar output(s) only."""
-    return forward(model, x)[0]
+    """Scalar output(s) only; bit-identical to forward(model, x)[0]."""
+    return _forward(model, x)[0]
 
 
 def param_gradients(model, x, y, *, return_loss=False):
@@ -148,25 +176,39 @@ def param_gradients(model, x, y, *, return_loss=False):
 
     Returns (weight_grads, bias_grads) matching the model's parameter lists;
     with return_loss, also the batch MSE from the same forward pass.
+
+    The backward pass reuses the forward pass's arrays: a ReLU layer's mask
+    is taken from its post-activation (a > 0 exactly where z > 0), and each
+    new delta is written over the post-activation it has just finished
+    with. The input x is never written to.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("batch inputs and labels must be nonempty and aligned")
-    out, pres, posts = forward(model, x)
+    out, pres, posts = _forward(model, x)
     n = len(y)
     loss = float(np.mean((out - y) ** 2)) if return_loss else None
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
+    relu = model.activation == "relu"
+
+    def activate_grad(layer):
+        """Derivative of layer's activation: a bool mask for ReLU."""
+        if relu:
+            return posts[layer + 1] > 0.0
+        return _activate_grad(pres[layer], model.activation, model.alpha)
+
     if model.activate_output:
-        delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
+        delta *= activate_grad(model.n_layers - 1)
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
     for layer in range(model.n_layers - 1, -1, -1):
         w_grads[layer] = delta.T @ posts[layer]
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * _activate_grad(
-                pres[layer - 1], model.activation, model.alpha)
+            grad = activate_grad(layer - 1)
+            delta = np.matmul(delta, model.weights[layer], out=posts[layer])
+            delta *= grad
     if return_loss:
         return w_grads, b_grads, loss
     return w_grads, b_grads

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the package's fast paths: state construction
-enumerates the three vertex pairings explicitly, and purity goes through
-the dense 16x16 density matrix with an explicit partial trace.
+enumerates the three vertex pairings explicitly, purity goes through the
+dense 16x16 density matrix with an explicit partial trace, and backprop
+allocates a fresh array for every intermediate instead of working in place.
 """
 
 import numpy as np
@@ -66,3 +67,75 @@ def finite_difference(f, x, h=1e-5):
         e.flat[i] = h
         grad.flat[i] = (f(x + e) - f(x - e)) / (2 * h)
     return grad
+
+
+def _activate(z, activation, alpha):
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    if activation == "elu":
+        return np.where(z > 0.0, z, alpha * np.expm1(z))
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+def _activate_grad(z, activation, alpha):
+    if activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    return np.where(z > 0.0, 1.0, alpha * np.exp(z))
+
+
+def reference_forward(model, x):
+    """Allocating forward pass; returns (outputs, pre_activations, post_activations).
+
+    x may be a single input (d,) or a batch (n, d). post_activations[0] is
+    the input itself; outputs has the trailing unit axis squeezed.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    a = x[None, :] if single else x
+    if a.shape[1] != model.layer_sizes[0]:
+        raise ValueError(f"input width {a.shape[1]} != {model.layer_sizes[0]}")
+    pres, posts = [], [a]
+    last = model.n_layers - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        pres.append(z)
+        if layer < last or model.activate_output:
+            a = _activate(z, model.activation, model.alpha)
+        else:
+            a = z
+        posts.append(a)
+    out = a[:, 0] if a.shape[1] == 1 else a
+    if single:
+        out = out[0] if np.ndim(out) else out
+        pres = [p[0] for p in pres]
+        posts = [p[0] for p in posts]
+    return out, pres, posts
+
+
+def reference_param_gradients(model, x, y, *, return_loss=False):
+    """Allocating backprop of the batch mean squared error.
+
+    Returns (weight_grads, bias_grads) matching the model's parameter lists;
+    with return_loss, also the batch MSE from the same forward pass.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(x) != len(y) or len(x) == 0:
+        raise ValueError("batch inputs and labels must be nonempty and aligned")
+    out, pres, posts = reference_forward(model, x)
+    n = len(y)
+    loss = float(np.mean((out - y) ** 2)) if return_loss else None
+    delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
+    if model.activate_output:
+        delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
+    w_grads = [None] * model.n_layers
+    b_grads = [None] * model.n_layers
+    for layer in range(model.n_layers - 1, -1, -1):
+        w_grads[layer] = delta.T @ posts[layer]
+        b_grads[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer]) * _activate_grad(
+                pres[layer - 1], model.activation, model.alpha)
+    if return_loss:
+        return w_grads, b_grads, loss
+    return w_grads, b_grads

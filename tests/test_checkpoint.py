@@ -112,3 +112,37 @@ def test_non_finite_alpha(tmp_path):
     path.write_text(path.read_text().replace("\nalpha 1\n", "\nalpha nan\n", 1))
     with pytest.raises(CheckpointError, match="non-finite alpha"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sizes", ["24,5,1", "24,4,2", "25,4,1"])
+def test_layer_blocks_checked_against_layer_sizes(tmp_path, sizes):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    path.write_text(path.read_text().replace("layer_sizes 24,4,1", f"layer_sizes {sizes}", 1))
+    with pytest.raises(CheckpointError, match="but layer_sizes give"):
+        load_checkpoint(path)
+
+
+def test_layer_block_beyond_layer_sizes(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 4, 1], seed=0), path)
+    path.write_text(path.read_text().replace("layer_sizes 24,4,4,1", "layer_sizes 24,4,4", 1))
+    with pytest.raises(CheckpointError, match="data after the 2 layers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("flag", ["7", "-1", "true"])
+def test_activate_output_must_be_zero_or_one(tmp_path, flag):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    path.write_text(path.read_text().replace("activate_output 0", f"activate_output {flag}", 1))
+    with pytest.raises(CheckpointError, match="expected 0 or 1"):
+        load_checkpoint(path)
+
+
+def test_unknown_activation(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    path.write_text(path.read_text().replace("activation relu", "activation tanh", 1))
+    with pytest.raises(CheckpointError, match="unknown activation 'tanh'"):
+        load_checkpoint(path)

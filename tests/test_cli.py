@@ -177,6 +177,16 @@ def test_missing_file_error_exit(tmp_path):
                  "--out", str(tmp_path / "x.ckpt")]) == 1
 
 
+@pytest.mark.parametrize("batch", ["0", "-5"])
+def test_bad_batch_size_error_exit(workspace, tmp_path, capsys, batch):
+    _, ds, _ = workspace
+    assert main(["train", "--dataset", str(ds), "--layers", "24,4,1",
+                 "--batch-size", batch, "--max-epochs", "2",
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"batch size must be >= 1, got {batch}" in err
+
+
 def _header_only(ckpt, tmp_path):
     path = tmp_path / "header.ckpt"
     path.write_text("\n".join(ckpt.read_text().splitlines()[:3]) + "\n")

@@ -20,7 +20,7 @@ from qgdream.nn import (
     truncate_at_neuron,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, reference_forward, reference_param_gradients
 
 
 def rel_error(a, b):
@@ -147,6 +147,54 @@ class TestParamGradients:
         for a, b in zip(w_grads + b_grads, w_again + b_again):
             assert np.array_equal(a, b)
         assert loss == float(np.mean((predict(m, x) - y) ** 2))
+
+
+class TestReferenceBackprop:
+    """The in-place passes against the allocating reference, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("activation,alpha", [("relu", 1.0), ("elu", 0.1)])
+    def test_param_gradients_equal_reference(self, activation, alpha, truncated, n):
+        m = init_mlp([24, 16, 12, 8, 1], activation=activation, alpha=alpha, seed=21)
+        if truncated:
+            m = truncate_at_neuron(m, NeuronSelector(2, 5))
+            assert m.activate_output
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, (n, 24))
+        y = rng.uniform(0, 0.5, n)
+        x_before, checksum = x.copy(), m.checksum()
+        w_grads, b_grads, loss = param_gradients(m, x, y, return_loss=True)
+        w_ref, b_ref, loss_ref = reference_param_gradients(m, x, y, return_loss=True)
+        for a, b in zip(w_grads + b_grads, w_ref + b_ref):
+            assert np.array_equal(a, b)
+        assert loss == loss_ref
+        assert np.array_equal(x, x_before)
+        assert m.checksum() == checksum
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_forward_and_predict_equal_reference(self, activation):
+        m = init_mlp([24, 16, 8, 1], activation=activation, alpha=0.1, seed=22)
+        x = np.random.default_rng(23).uniform(-1, 1, (50, 24))
+        for xi in (x, x[3]):
+            out, pres, posts = forward(m, xi)
+            ref_out, ref_pres, ref_posts = reference_forward(m, xi)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(predict(m, xi), out)
+            for a, b in zip(pres + posts, ref_pres + ref_posts, strict=True):
+                assert np.array_equal(a, b)
+
+    def test_training_equals_reference(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-1, 1, (300, 24))
+        y = rng.uniform(0, 0.5, 300)
+        cfg = TrainConfig(batch_size=64, seed=3, max_epochs=4, convergence_patience=4)
+        model, hist = train(x, y, [24, 16, 8, 1], cfg)
+        monkeypatch.setattr(nn, "param_gradients", reference_param_gradients)
+        ref_model, ref_hist = train(x, y, [24, 16, 8, 1], cfg)
+        assert model.checksum() == ref_model.checksum()
+        assert hist.train_mse == ref_hist.train_mse
+        assert hist.test_mse == ref_hist.test_mse
 
 
 class TestInputGradient:
@@ -368,6 +416,12 @@ class TestTrain:
         x = np.random.default_rng(0).uniform(-1, 1, (1, 24))
         with pytest.raises(ValueError, match="dataset of 1 record"):
             train(x, np.zeros(1), [24, 4, 1], TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -5),
+                                             ("max_epochs", 0)])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {value}"):
+            TrainConfig(**{field: value})
 
     def test_history_lengths(self):
         x, y = self.small_dataset(500, seed=5)
