@@ -93,7 +93,7 @@ def weighted_activations(model, x, threshold=0.05):
     (left untouched when everything is zero); the masks keep entries at or
     above the threshold.
     """
-    _, _, posts = forward(model, np.asarray(x, dtype=np.float64))
+    _, posts = forward(model, np.asarray(x, dtype=np.float64))
     layers = [np.abs(w * a[None, :]) for w, a in zip(model.weights, posts)]
     global_max = max(float(layer.max()) for layer in layers)
     if global_max > 0.0:
@@ -115,15 +115,17 @@ class ShiftReport:
     cap: float
 
 
-def shift_report(ensemble, cap=0.5, n_bins=50):
-    """Initial-vs-final distribution statistics for a dream ensemble."""
-    if len(ensemble.final_true) == 0:
+def shift_report(initial, final, cap=0.5, n_bins=50):
+    """Initial-vs-final distribution statistics of an ensemble's true values."""
+    initial = np.asarray(initial, dtype=np.float64)
+    final = np.asarray(final, dtype=np.float64)
+    if len(initial) == 0 or len(final) == 0:
         raise ValueError("empty ensemble")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    initial_hist, _ = np.histogram(ensemble.initial_true, bins=edges)
-    final_hist, _ = np.histogram(ensemble.final_true, bins=edges)
+    initial_hist, _ = np.histogram(initial, bins=edges)
+    final_hist, _ = np.histogram(final, bins=edges)
     return ShiftReport(
         initial_hist, final_hist, edges,
-        ensemble.mean_initial, ensemble.mean_final,
-        float(np.max(ensemble.initial_true)), ensemble.max_final,
-        ensemble.fraction_above(cap), cap)
+        float(np.mean(initial)), float(np.mean(final)),
+        float(np.max(initial)), float(np.max(final)),
+        float(np.mean(final > cap)), cap)

@@ -6,12 +6,15 @@ Layout (line oriented):
     layer_sizes <comma-separated ints>
     activation relu|elu
     alpha <float>
-    activate_output 0|1
+    activate_output 0
     seed <int or none>
     layer <i> weights <rows> <cols>
     <one row per line, %.17g space-separated>
     layer <i> biases <n>
     <one line>
+
+The activate_output line is always 0: the output layer is never
+activated. The reader rejects any other value.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def save_checkpoint(model, path):
     lines.append("layer_sizes " + ",".join(str(s) for s in model.layer_sizes))
     lines.append(f"activation {model.activation}")
     lines.append(f"alpha {model.alpha:.17g}")
-    lines.append(f"activate_output {int(model.activate_output)}")
+    lines.append("activate_output 0")
     lines.append(f"seed {'none' if model.seed is None else model.seed}")
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         lines.append(f"layer {i} weights {w.shape[0]} {w.shape[1]}")
@@ -71,9 +74,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: non-finite alpha {header['alpha']}")
     if header["activation"] not in ("relu", "elu"):
         raise CheckpointError(f"{path}: unknown activation {header['activation']!r}")
-    if header["activate_output"] not in ("0", "1"):
+    if header["activate_output"] != "0":
         raise CheckpointError(
-            f"{path}: activate_output {header['activate_output']!r}, expected 0 or 1")
+            f"{path}: activate_output {header['activate_output']!r}, expected 0")
     layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
     weights, biases = [], []
     try:
@@ -108,6 +111,4 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: data after the {len(weights)} layers "
                               f"that layer_sizes give")
     seed = None if header["seed"] == "none" else int(header["seed"])
-    return Mlp(layer_sizes, header["activation"], weights, biases,
-               alpha=alpha,
-               activate_output=header["activate_output"] == "1", seed=seed)
+    return Mlp(layer_sizes, header["activation"], weights, biases, alpha=alpha, seed=seed)

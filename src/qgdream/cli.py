@@ -185,6 +185,8 @@ def cmd_dream(args):
     cfg = _resolve(args, {"prop": "ghz_fidelity", "runs": 1, "steps": 2000,
                           "lr": 1e-4, "stride": 10, "clamp": True,
                           "use_adam": False, "seed": 0})
+    if args.graph and cfg["runs"] != 1:
+        raise ValueError(f"--graph sets the start of a single run; got --runs {cfg['runs']}")
     model = load_checkpoint(args.checkpoint)
     dcfg = _dream_config(cfg)
     inputs = [args.checkpoint]
@@ -210,8 +212,8 @@ def cmd_dream(args):
 def cmd_dream_neuron(args):
     cfg = _resolve(args, {"inits": 20, "steps": 2000, "lr": 1e-4, "seed": 0})
     model = load_checkpoint(args.checkpoint)
-    results = dreaming.dream_neuron(model, nn.NeuronSelector(args.layer, args.neuron),
-                                    cfg["inits"], _dream_config(cfg))
+    results = dreaming.dream_neuron(model, (args.layer, args.neuron), cfg["inits"],
+                                    _dream_config(cfg))
     tables.write_neuron_dreams(results, args.out)
     return dict(cfg, layer=args.layer, neuron=args.neuron), [args.checkpoint], [args.out]
 
@@ -243,10 +245,7 @@ def cmd_activations(args):
 def cmd_shift(args):
     cfg = _resolve(args, {"cap": 0.5})
     initial, final = tables.read_ensemble(args.ensemble)
-    result = dreaming.DreamEnsembleResult(
-        states.Property.GHZ_FIDELITY, np.array(initial), np.array(final),
-        np.empty((0, 24)))
-    report = analysis.shift_report(result, cap=cfg["cap"])
+    report = analysis.shift_report(initial, final, cap=cfg["cap"])
     tables.write_shift_report(report, args.out)
     print(f"mean shift {report.mean_final - report.mean_initial:.4f}, "
           f"fraction above {cfg['cap']:g}: {report.fraction_above_cap:.3f}")

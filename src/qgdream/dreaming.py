@@ -8,9 +8,8 @@ One engine, _ascend, moves an (n, 24) array of graphs together, and every
 caller goes through it: dream and dream_oracle with n = 1, dream_ensemble
 with all its runs, dream_neuron with all its starts, and dream_layer with
 every neuron x every start of a hidden layer, where row r ascends on its
-own neuron. The network side is nn.input_gradient with a per-row output
-selection, which shares the prefix layers between rows instead of
-building one truncated net per neuron.
+own neuron. The network side is nn.input_gradient with a per-row
+(layer, neuron) selection, which shares the prefix layers between rows.
 
 Row exactness: each row's result is bit-identical to a dream of that row
 alone, whatever the batch size. The optimizer steps and the clamp act
@@ -91,10 +90,6 @@ class DreamEnsembleResult:
     @property
     def mean_final(self):
         return float(np.mean(self.final_true))
-
-    @property
-    def max_final(self):
-        return float(np.max(self.final_true))
 
     def fraction_above(self, cap=0.5):
         return float(np.mean(self.final_true > cap))
@@ -206,17 +201,18 @@ def _final_pm_pairs(trajs):
     return list(zip(finals, kernels.pm_probability_batch(finals)))
 
 
-def dream_neuron(model, selector, k_inits, cfg):
+def dream_neuron(model, select, k_inits, cfg):
     """Dream on one neuron from k_inits random starts, as one batch.
 
-    Returns a list of (final graph, 3x16 PM probability array) pairs for
-    the analysis stage.
+    select is the (layer, neuron) pair of nn.input_gradient: layer l <
+    n_layers is the l-th hidden layer, whose neuron is dreamed on after its
+    activation, and layer n_layers the output layer. Returns a list of
+    (final graph, 3x16 PM probability array) pairs for the analysis stage.
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
     trajs = _dream_rows(model, _random_starts(cfg.seed, k_inits), None,
-                        replace(cfg, snapshot_stride=cfg.steps),
-                        select=(selector.layer, selector.neuron))
+                        replace(cfg, snapshot_stride=cfg.steps), select=select)
     return _final_pm_pairs(trajs)
 
 

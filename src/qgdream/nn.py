@@ -9,7 +9,7 @@ does not churn through a dozen large temporaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,17 +27,11 @@ class Mlp:
     weights: list[np.ndarray]     # per layer, shape (out, in)
     biases: list[np.ndarray]      # per layer, shape (out,)
     alpha: float = 1.0            # ELU alpha; ignored for relu
-    activate_output: bool = False  # hidden-neuron truncations keep their activation
     seed: int | None = None
 
     @property
     def n_layers(self):
         return len(self.weights)
-
-    def copy(self):
-        return replace(self, weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases],
-                       layer_sizes=list(self.layer_sizes))
 
     def checksum(self):
         """Order-sensitive parameter digest; used by the frozen-model checks."""
@@ -47,13 +41,6 @@ class Mlp:
             h.update(np.ascontiguousarray(w).tobytes())
             h.update(np.ascontiguousarray(b).tobytes())
         return h.hexdigest()
-
-
-@dataclass
-class NeuronSelector:
-    """layer is 1-based over hidden layers; layer == n_layers selects output."""
-    layer: int
-    neuron: int
 
 
 @dataclass
@@ -118,15 +105,14 @@ def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
     return Mlp(sizes, activation, weights, biases, alpha=alpha, seed=seed)
 
 
-def _forward(model, x, keep_pre=False):
+def _forward(model, x):
     """(outputs, pre_activations, post_activations) of x, each layer in place.
 
     Every layer's post-activation is one fresh array: the product a @ w.T,
-    to which the bias is added and the ReLU applied in place. The
-    pre-activations are kept where something reads them: every layer with
-    keep_pre, else only the activated ELU layers, whose derivative needs z,
-    and the unactivated output (the same array as its post-activation).
-    Other entries are None. The lists stay batched for a single (d,) input.
+    to which the bias is added and, on a hidden layer, the ReLU applied in
+    place. The output layer is never activated. pre_activations has one
+    entry per hidden layer: z for ELU, whose derivative needs it, else
+    None. The lists stay batched for a single (d,) input.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -138,12 +124,10 @@ def _forward(model, x, keep_pre=False):
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w.T
         a += b
-        if layer == last and not model.activate_output:
-            pres.append(a)
-        elif model.activation == "relu":
-            pres.append(a.copy() if keep_pre else None)
+        if layer < last and model.activation == "relu":
+            pres.append(None)
             np.maximum(a, 0.0, out=a)
-        else:
+        elif layer < last:
             pres.append(a)
             a = _activate(a, model.activation, model.alpha)
         posts.append(a)
@@ -154,16 +138,16 @@ def _forward(model, x, keep_pre=False):
 
 
 def forward(model, x):
-    """Forward pass; returns (outputs, pre_activations, post_activations).
+    """Forward pass; returns (outputs, post_activations).
 
     x may be a single input (d,) or a batch (n, d). post_activations[0] is
-    the input itself; outputs has the trailing unit axis squeezed.
+    the input itself and post_activations[l] the activations of layer l;
+    outputs has the trailing unit axis squeezed.
     """
-    out, pres, posts = _forward(model, x, keep_pre=True)
+    out, _, posts = _forward(model, x)
     if np.ndim(x) == 1:
-        pres = [p[0] for p in pres]
         posts = [p[0] for p in posts]
-    return out, pres, posts
+    return out, posts
 
 
 def predict(model, x):
@@ -198,8 +182,6 @@ def param_gradients(model, x, y, *, return_loss=False):
             return posts[layer + 1] > 0.0
         return _activate_grad(pres[layer], model.activation, model.alpha)
 
-    if model.activate_output:
-        delta *= activate_grad(model.n_layers - 1)
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
     for layer in range(model.n_layers - 1, -1, -1):
@@ -226,12 +208,13 @@ def _rowwise(a, w):
 
 
 def _selected_layers(model, select, n):
-    """Weights, biases and output activation of the sub-net each row ascends.
+    """Weights and biases of the sub-net each row ascends.
 
-    select is (layer, neurons), as in NeuronSelector with neurons either one
-    index or one per row; None selects the full net's scalar output. The
-    prefix layers are shared; the last entry of weights holds each row's
-    selected weight row as (n, 1, in), and of biases its bias as (n, 1).
+    select is (layer, neurons) with neurons either one index or one per
+    row; None selects the full net's scalar output. Layers 1 .. n_layers - 1
+    are the hidden layers and layer n_layers the output layer. The prefix
+    layers are shared; the last entry of weights holds each row's selected
+    weight row as (n, 1, in), and of biases its bias as (n, 1).
     """
     if select is None:
         if model.layer_sizes[-1] != 1:
@@ -246,28 +229,25 @@ def _selected_layers(model, select, n):
         raise ValueError(f"neuron out of range for layer {layer}")
     weights = model.weights[:layer - 1] + [model.weights[layer - 1][neurons][:, None, :]]
     biases = model.biases[:layer - 1] + [model.biases[layer - 1][neurons][:, None]]
-    activate_output = layer < model.n_layers or model.activate_output
-    return weights, biases, activate_output
+    return weights, biases
 
 
 def _forward_rows(model, x, select):
     """Row-exact forward pass to each row's selected neuron.
 
-    Returns (pre-activations per layer, selected outputs (n,), weights,
-    activate_output); the last pre-activation is (n, 1).
+    Every hidden layer is activated, the selected one included; the output
+    layer never is. Returns (pre-activations per layer, selected outputs
+    (n,), weights); the last pre-activation is (n, 1).
     """
     if x.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"input width {x.shape[1]} != {model.layer_sizes[0]}")
-    weights, biases, activate_output = _selected_layers(model, select, len(x))
+    weights, biases = _selected_layers(model, select, len(x))
     pres, a = [], x
-    for layer, (w, b) in enumerate(zip(weights, biases)):
+    for layer, (w, b) in enumerate(zip(weights, biases), 1):
         z = _rowwise(a, np.swapaxes(w, -1, -2)) + b
         pres.append(z)
-        if layer < len(weights) - 1 or activate_output:
-            a = _activate(z, model.activation, model.alpha)
-        else:
-            a = z
-    return pres, a[:, 0], weights, activate_output
+        a = _activate(z, model.activation, model.alpha) if layer < model.n_layers else z
+    return pres, a[:, 0], weights
 
 
 def _as_rows(x):
@@ -279,8 +259,8 @@ def selected_output(model, x, select=None):
     """Each row's selected neuron (default: the scalar output), row-exact.
 
     select is as in input_gradient. Accepts (d,) or (n, d); returns a float
-    or (n,) array. The value equals predict() on
-    truncate_at_neuron(model, NeuronSelector(layer, neurons[r])) for row r.
+    or (n,) array. Row r's value is forward()'s post-activation of its
+    selected neuron, computed one row at a time.
     """
     single, xb = _as_rows(x)
     out = _forward_rows(model, xb, select)[1]
@@ -292,17 +272,19 @@ def input_gradient(model, x, select=None):
 
     select=None differentiates the full net's scalar output; select=(layer,
     neurons) differentiates, for row r, neuron neurons[r] (or one shared
-    neuron) of layer, numbered as in NeuronSelector. The prefix layers run
-    for all rows at once; no truncated net is built. Every product runs one
-    row at a time (see _rowwise), so row r's gradient is bit-identical to
-    that of a lone input, at any batch size. Parameters are untouched.
+    neuron) of layer. Layer l < n_layers is the l-th hidden layer, whose
+    neuron is differentiated after its activation; layer n_layers is the
+    output layer. The prefix layers run for all rows at once. Every
+    product runs one row at a time (see _rowwise), so row r's gradient is
+    bit-identical to that of a lone input, at any batch size. Parameters
+    are untouched.
 
     Accepts (d,) or (n, d); returns the matching shape.
     """
     single, xb = _as_rows(x)
-    pres, _, weights, activate_output = _forward_rows(model, xb, select)
+    pres, _, weights = _forward_rows(model, xb, select)
     delta = np.ones((len(xb), 1))
-    if activate_output:
+    if len(weights) < model.n_layers:  # a hidden neuron: through its activation
         delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
     for layer in range(len(weights) - 1, 0, -1):
         delta = _rowwise(delta, weights[layer]) * _activate_grad(
@@ -435,26 +417,3 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         model.weights, model.biases = best_params
     return model, history
 
-
-def truncate_at_neuron(model, selector):
-    """Sub-network whose scalar output is the selected neuron's activation.
-
-    For hidden neurons the truncated net applies the hidden activation at
-    its output so the value matches forward()'s recorded post-activation;
-    selecting the output neuron returns a copy of the full net.
-    """
-    layer, neuron = selector.layer, selector.neuron
-    if not 1 <= layer <= model.n_layers:
-        raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")
-    if not 0 <= neuron < model.layer_sizes[layer]:
-        raise ValueError(f"neuron {neuron} out of range for layer {layer}")
-    if layer == model.n_layers and model.layer_sizes[-1] == 1:
-        return model.copy()
-    weights = [w.copy() for w in model.weights[:layer - 1]]
-    biases = [b.copy() for b in model.biases[:layer - 1]]
-    weights.append(model.weights[layer - 1][neuron:neuron + 1].copy())
-    biases.append(model.biases[layer - 1][neuron:neuron + 1].copy())
-    activate_output = layer < model.n_layers or model.activate_output
-    return Mlp(model.layer_sizes[:layer] + [1], model.activation, weights,
-               biases, alpha=model.alpha, activate_output=activate_output,
-               seed=model.seed)

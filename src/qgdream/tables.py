@@ -42,12 +42,34 @@ def write_ensemble(result, path):
             writer.writerow([run, _fmt(first), _fmt(last)])
 
 
+def _true_value(path, text):
+    """One cell of an ensemble table as a float in [0, 1]."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{path}: true value {text!r} is not a number in [0, 1]")
+    return value
+
+
 def read_ensemble(path):
-    """Inverse of write_ensemble: -> (initial, final) float lists."""
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return ([float(r["initial_true"]) for r in rows],
-            [float(r["final_true"]) for r in rows])
+    """Inverse of write_ensemble: -> (initial, final) float lists.
+
+    Raises ValueError, naming the file, when a column is missing or a true
+    value is not a number in [0, 1].
+    """
+    columns = ("initial_true", "final_true")
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: ensemble table lacks {', '.join(missing)}")
+            rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return tuple([_true_value(path, row[c]) for row in rows] for c in columns)
 
 
 def write_neuron_dreams(results, path):
@@ -111,13 +133,20 @@ def write_history(history, path):
 
 
 def read_graph_weights(path):
-    """24 whitespace/comma-separated weights from a text file."""
+    """24 whitespace/comma-separated weights from a text file.
+
+    Each weight must be a number in [-1, 1], the range that datasets are
+    drawn from and that dreaming clamps to.
+    """
     text = Path(path).read_text().replace(",", " ")
-    values = [float(v) for v in text.split()]
+    try:
+        values = [float(v) for v in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if len(values) != N_EDGES:
         raise ValueError(f"{path}: expected {N_EDGES} weights, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{path}: graph weights must be finite")
+    if not all(-1.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"{path}: graph weights must be finite and in [-1, 1]")
     return values
 
 

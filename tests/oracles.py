@@ -2,11 +2,15 @@
 
 These deliberately avoid the package's fast paths: state construction
 enumerates the three vertex pairings explicitly, purity goes through the
-dense 16x16 density matrix with an explicit partial trace, and backprop
-allocates a fresh array for every intermediate instead of working in place.
+dense 16x16 density matrix with an explicit partial trace, backprop
+allocates a fresh array for every intermediate instead of working in place,
+and a neuron is isolated by building a separate net whose output it is,
+instead of by the package's (layer, neuron) selection.
 """
 
 import numpy as np
+
+from qgdream.nn import Mlp
 
 
 def brute_force_state(weights):
@@ -83,15 +87,9 @@ def _activate_grad(z, activation, alpha):
     return np.where(z > 0.0, 1.0, alpha * np.exp(z))
 
 
-def reference_forward(model, x):
-    """Allocating forward pass; returns (outputs, pre_activations, post_activations).
-
-    x may be a single input (d,) or a batch (n, d). post_activations[0] is
-    the input itself; outputs has the trailing unit axis squeezed.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+def _reference_pass(model, x):
+    """(outputs, pre_activations, post_activations) of a (n, d) batch."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"input width {a.shape[1]} != {model.layer_sizes[0]}")
     pres, posts = [], [a]
@@ -99,17 +97,23 @@ def reference_forward(model, x):
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w.T + b
         pres.append(z)
-        if layer < last or model.activate_output:
-            a = _activate(z, model.activation, model.alpha)
-        else:
-            a = z
+        a = _activate(z, model.activation, model.alpha) if layer < last else z
         posts.append(a)
     out = a[:, 0] if a.shape[1] == 1 else a
-    if single:
-        out = out[0] if np.ndim(out) else out
-        pres = [p[0] for p in pres]
-        posts = [p[0] for p in posts]
     return out, pres, posts
+
+
+def reference_forward(model, x):
+    """Allocating forward pass; returns (outputs, post_activations).
+
+    x may be a single input (d,) or a batch (n, d). post_activations[0] is
+    the input itself; outputs has the trailing unit axis squeezed.
+    """
+    out, _, posts = _reference_pass(model, x)
+    if np.ndim(x) == 1:
+        out = out[0] if np.ndim(out) else out
+        posts = [p[0] for p in posts]
+    return out, posts
 
 
 def reference_param_gradients(model, x, y, *, return_loss=False):
@@ -122,12 +126,10 @@ def reference_param_gradients(model, x, y, *, return_loss=False):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("batch inputs and labels must be nonempty and aligned")
-    out, pres, posts = reference_forward(model, x)
+    out, pres, posts = _reference_pass(model, x)
     n = len(y)
     loss = float(np.mean((out - y) ** 2)) if return_loss else None
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
-    if model.activate_output:
-        delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
     for layer in range(model.n_layers - 1, -1, -1):
@@ -139,3 +141,29 @@ def reference_param_gradients(model, x, y, *, return_loss=False):
     if return_loss:
         return w_grads, b_grads, loss
     return w_grads, b_grads
+
+
+def truncate_at_neuron(model, layer, neuron):
+    """A separate net whose scalar output is one neuron of model.
+
+    Layers are numbered as in nn.input_gradient's select. For a hidden
+    neuron the net is model's first layer - 1 layers, the neuron's weight
+    row as a 1-wide hidden layer (so its activation applies), and a 1x1
+    identity output layer (weight 1.0, bias 0.0). For the output layer it
+    is the prefix plus the neuron's row as the unactivated output. Arrays
+    are copies, so the net shares no memory with model.
+    """
+    if not 1 <= layer <= model.n_layers:
+        raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")
+    if not 0 <= neuron < model.layer_sizes[layer]:
+        raise ValueError(f"neuron {neuron} out of range for layer {layer}")
+    weights = [w.copy() for w in model.weights[:layer - 1]]
+    biases = [b.copy() for b in model.biases[:layer - 1]]
+    weights.append(model.weights[layer - 1][neuron:neuron + 1].copy())
+    biases.append(model.biases[layer - 1][neuron:neuron + 1].copy())
+    sizes = model.layer_sizes[:layer] + [1]
+    if layer < model.n_layers:
+        weights.append(np.ones((1, 1)))
+        biases.append(np.zeros(1))
+        sizes.append(1)
+    return Mlp(sizes, model.activation, weights, biases, alpha=model.alpha, seed=model.seed)

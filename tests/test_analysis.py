@@ -9,9 +9,8 @@ from qgdream.analysis import (
     shift_report,
     weighted_activations,
 )
-from qgdream.dreaming import DreamConfig, DreamEnsembleResult
+from qgdream.dreaming import DreamConfig
 from qgdream.nn import init_mlp
-from qgdream.states import Property
 
 
 def spike(d, k, value=1.0):
@@ -138,30 +137,26 @@ class TestWeightedActivations:
 
 
 class TestShiftReport:
-    def make_ensemble(self, initial, final):
-        return DreamEnsembleResult(Property.GHZ_FIDELITY, np.asarray(initial),
-                                   np.asarray(final), np.empty((0, 24)))
-
     def test_no_shift(self):
         vals = np.linspace(0.05, 0.45, 20)
-        report = shift_report(self.make_ensemble(vals, vals))
+        report = shift_report(vals, vals)
         assert report.mean_final - report.mean_initial == 0.0
         assert np.array_equal(report.initial_hist, report.final_hist)
         assert report.fraction_above_cap == 0.0
 
     def test_synthetic_full_shift(self):
-        report = shift_report(self.make_ensemble([0.1] * 10, [0.9] * 10))
+        report = shift_report([0.1] * 10, [0.9] * 10)
         assert report.mean_final - report.mean_initial == pytest.approx(0.8)
         assert report.fraction_above_cap == 1.0
 
     def test_histogram_mass(self):
         rng = np.random.default_rng(2)
         ini, fin = rng.uniform(0, 0.5, 100), rng.uniform(0, 1, 100)
-        report = shift_report(self.make_ensemble(ini, fin))
+        report = shift_report(ini, fin)
         assert report.initial_hist.sum() == 100
         assert report.final_hist.sum() == 100
         assert len(report.initial_hist) == 50
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            shift_report(self.make_ensemble([], []))
+            shift_report([], [])

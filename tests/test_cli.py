@@ -1,7 +1,13 @@
+import contextlib
+import csv
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qgdream.cli import main
 from qgdream.checkpoint import load_checkpoint, save_checkpoint
@@ -216,16 +222,130 @@ def test_malformed_checkpoint_error_exit(workspace, tmp_path, capsys, make):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", [
-    ["dream", "--steps", "5"], ["activations"], ["export"]])
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+_GRAPH_COMMANDS = [["dream", "--steps", "5"], ["activations"], ["export"]]
+
+
+def _graph_argv(command, graph, ckpt, out):
+    argv = command + ["--graph", str(graph), "--out", str(out)]
+    return argv if command[0] == "export" else argv + ["--checkpoint", str(ckpt)]
+
+
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS)
+@pytest.mark.parametrize("bad", ["nan", "inf", "1.5", "-1e300"])
 def test_non_finite_graph_error_exit(workspace, tmp_path, capsys, command, bad):
+    # weights lie in [-1, 1], the range nets are trained on; a state built
+    # from -1e300 overflows, so its true value is lost
     _, _, ckpt = workspace
     graph = tmp_path / "graph.txt"
     write_graph_weights([float(bad)] + list(GHZ_GRAPH[1:]), graph)
-    argv = command + ["--graph", str(graph), "--out", str(tmp_path / "out")]
-    if command[0] != "export":
-        argv += ["--checkpoint", str(ckpt)]
-    assert main(argv) == 1
+    assert main(_graph_argv(command, graph, ckpt, tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(graph) in err
+
+
+def test_graph_with_ensemble_error_exit(workspace, tmp_path, capsys):
+    # --graph is the start of a single run; an ensemble draws its own starts
+    _, _, ckpt = workspace
+    graph = tmp_path / "graph.txt"
+    write_graph_weights(GHZ_GRAPH, graph)
+    out = tmp_path / "ens.csv"
+    assert main(["dream", "--checkpoint", str(ckpt), "--graph", str(graph), "--runs", "3",
+                 "--steps", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "run,final_true\n0,0.5\n",
+    "run,initial_true\n0,0.5\n",
+    "run,initial_true,final_true\n0,0.125,nan\n1,0.25,0.5\n",
+    "run,initial_true,final_true\n0,0.125,1.7\n1,0.25,0.5\n",
+    "run,initial_true,final_true\n0,-0.25,0.5\n",
+], ids=["no-initial_true", "no-final_true", "nan", "above-1", "below-0"])
+def test_malformed_ensemble_error_exit(tmp_path, capsys, text):
+    ens = tmp_path / "ens.csv"
+    ens.write_text(text)
+    assert main(["shift", "--ensemble", str(ens), "--out", str(tmp_path / "shift.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ens) in err
+
+
+def _non_finite_cells(path, skip=()):
+    """Numeric cells of a CSV that are not finite; labels and blanks are skipped."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    bad = []
+    for row in rows:
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if name not in skip and not math.isfinite(value):
+                bad.append((name, cell))
+    return bad
+
+
+def _run_fuzzed(argv):
+    """Exit code, last stderr line; any exception escapes to fail the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    lines = err.getvalue().splitlines()
+    return code, lines[-1] if lines else ""
+
+
+_FUZZ = settings(max_examples=50, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=120)
+_CELL = st.one_of(st.floats().map(repr), st.floats(0, 1).map(repr), st.integers(-3, 3).map(str),
+                  st.sampled_from(["", "nan", "-inf", "1e999", "0x1p-2", " 0.5", "1_0", "abc"]))
+_SEP = st.sampled_from([" ", ",", ", ", "\n", "\t"])
+
+
+def _join(sep, cells):
+    return sep.join(cells)
+
+
+_GRAPH_TEXT = st.one_of(
+    _TEXT,
+    st.builds(_join, _SEP, st.lists(st.floats(-1, 1).map(repr), min_size=23, max_size=25)),
+    st.builds(_join, _SEP, st.lists(st.one_of(st.floats(-1, 1).map(repr), _CELL),
+                                    min_size=24, max_size=24)))
+_ENSEMBLE_TEXT = st.one_of(
+    _TEXT,
+    st.builds(lambda header, rows: "\n".join([",".join(header)] + [",".join(r) for r in rows]),
+              st.lists(st.sampled_from(["run", "initial_true", "final_true", "x"]), max_size=4),
+              st.lists(st.lists(_CELL, max_size=4), max_size=5)),
+    st.builds(lambda rows: "run,initial_true,final_true\n" + "\n".join(
+        f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(rows)),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=5)))
+
+
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS, ids=lambda c: c[0])
+@_FUZZ
+@given(text=_GRAPH_TEXT)
+def test_fuzzed_graph_file_exits_cleanly(workspace, tmp_path, command, text):
+    _, _, ckpt = workspace
+    graph, out = tmp_path / "graph.txt", tmp_path / "out.csv"
+    graph.write_text(text)
+    code, last = _run_fuzzed(_graph_argv(command, graph, ckpt, out))
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+    elif command[0] != "export":
+        # a degenerate state has no true value; the trajectory writes it as nan
+        assert _non_finite_cells(out, skip=("true",)) == []
+
+
+@_FUZZ
+@given(text=_ENSEMBLE_TEXT)
+def test_fuzzed_ensemble_file_exits_cleanly(tmp_path, text):
+    ens, out = tmp_path / "ens.csv", tmp_path / "shift.csv"
+    ens.write_text(text)
+    code, last = _run_fuzzed(["shift", "--ensemble", ens, "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+    else:
+        assert _non_finite_cells(out) == []

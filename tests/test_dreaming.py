@@ -12,7 +12,7 @@ from qgdream.dreaming import (
     dream_oracle,
     run_seeds,
 )
-from qgdream.nn import NeuronSelector, init_mlp, input_gradient, truncate_at_neuron
+from qgdream.nn import init_mlp, input_gradient
 from qgdream.states import (
     GHZ_GRAPH,
     DegenerateStateError,
@@ -20,6 +20,8 @@ from qgdream.states import (
     pm_probability_array,
     random_graph,
 )
+
+from oracles import truncate_at_neuron
 
 
 def small_cfg(**kw):
@@ -140,7 +142,7 @@ class TestDreamEnsemble:
 class TestDreamNeuron:
     def test_shape_contract(self):
         m = init_mlp([24, 6, 6, 1], seed=10)
-        results = dream_neuron(m, NeuronSelector(2, 3), 20, small_cfg(steps=20))
+        results = dream_neuron(m, (2, 3), 20, small_cfg(steps=20))
         assert len(results) == 20
         for graph, pm in results:
             assert graph.shape == (24,)
@@ -149,7 +151,7 @@ class TestDreamNeuron:
     def test_output_selector_reduces_to_full_net(self):
         m = init_mlp([24, 6, 1], seed=11)
         cfg = small_cfg(steps=25)
-        neuron_results = dream_neuron(m, NeuronSelector(2, 0), 3, cfg)
+        neuron_results = dream_neuron(m, (2, 0), 3, cfg)
         from qgdream.dreaming import run_seeds
         for seq, (graph, _) in zip(run_seeds(cfg.seed, 3), neuron_results):
             g0 = random_graph(np.random.default_rng(seq))
@@ -159,7 +161,7 @@ class TestDreamNeuron:
     def test_model_frozen(self):
         m = init_mlp([24, 6, 6, 1], seed=12)
         before = m.checksum()
-        dream_neuron(m, NeuronSelector(1, 0), 2, small_cfg(steps=10))
+        dream_neuron(m, (1, 0), 2, small_cfg(steps=10))
         assert m.checksum() == before
 
 
@@ -188,7 +190,7 @@ class TestRowExactness:
             batch = input_gradient(m, x, select=(layer, neurons))
             for r in range(n):
                 solo = input_gradient(m, x[r], select=(layer, neurons[r]))
-                truncated = truncate_at_neuron(m, NeuronSelector(layer, int(neurons[r])))
+                truncated = truncate_at_neuron(m, layer, int(neurons[r]))
                 assert np.array_equal(batch[r], solo)
                 assert np.array_equal(batch[r], input_gradient(truncated, x[r]))
 
@@ -202,7 +204,7 @@ class TestRowExactness:
             values = []
             for neuron in range(m.layer_sizes[layer]):
                 seed = np.random.SeedSequence([cfg.seed, layer, neuron]).generate_state(1)[0]
-                truncated = truncate_at_neuron(m, NeuronSelector(layer, neuron))
+                truncated = truncate_at_neuron(m, layer, neuron)
                 arrays = []
                 for seq in run_seeds(int(seed), 3):
                     solo = dream(truncated, random_graph(np.random.default_rng(seq)),

@@ -7,7 +7,6 @@ from qgdream import nn
 from qgdream.nn import (
     Adam,
     Mlp,
-    NeuronSelector,
     TrainConfig,
     evaluate,
     forward,
@@ -17,10 +16,14 @@ from qgdream.nn import (
     predict,
     selected_output,
     train,
-    truncate_at_neuron,
 )
 
-from oracles import finite_difference, reference_forward, reference_param_gradients
+from oracles import (
+    finite_difference,
+    reference_forward,
+    reference_param_gradients,
+    truncate_at_neuron,
+)
 
 
 def rel_error(a, b):
@@ -74,7 +77,7 @@ class TestForward:
 
     def test_relu_post_activations_nonnegative(self):
         m = init_mlp([24, 16, 16, 1], seed=4)
-        _, _, posts = forward(m, np.random.default_rng(0).uniform(-1, 1, 24))
+        _, posts = forward(m, np.random.default_rng(0).uniform(-1, 1, 24))
         for a in posts[1:-1]:
             assert np.all(a >= 0.0)
 
@@ -158,8 +161,8 @@ class TestReferenceBackprop:
     def test_param_gradients_equal_reference(self, activation, alpha, truncated, n):
         m = init_mlp([24, 16, 12, 8, 1], activation=activation, alpha=alpha, seed=21)
         if truncated:
-            m = truncate_at_neuron(m, NeuronSelector(2, 5))
-            assert m.activate_output
+            m = truncate_at_neuron(m, 2, 5)
+            assert m.layer_sizes == [24, 16, 1, 1]
         rng = np.random.default_rng(n)
         x = rng.uniform(-1, 1, (n, 24))
         y = rng.uniform(0, 0.5, n)
@@ -177,11 +180,11 @@ class TestReferenceBackprop:
         m = init_mlp([24, 16, 8, 1], activation=activation, alpha=0.1, seed=22)
         x = np.random.default_rng(23).uniform(-1, 1, (50, 24))
         for xi in (x, x[3]):
-            out, pres, posts = forward(m, xi)
-            ref_out, ref_pres, ref_posts = reference_forward(m, xi)
+            out, posts = forward(m, xi)
+            ref_out, ref_posts = reference_forward(m, xi)
             assert np.array_equal(out, ref_out)
             assert np.array_equal(predict(m, xi), out)
-            for a, b in zip(pres + posts, ref_pres + ref_posts, strict=True):
+            for a, b in zip(posts, ref_posts, strict=True):
                 assert np.array_equal(a, b)
 
     def test_training_equals_reference(self, monkeypatch):
@@ -243,7 +246,7 @@ class TestInputGradient:
         x = np.random.default_rng(9).uniform(-1, 1, (4, 24))
         for layer in (1, 2, 3):
             for neuron in range(m.layer_sizes[layer]):
-                t = truncate_at_neuron(m, NeuronSelector(layer, neuron))
+                t = truncate_at_neuron(m, layer, neuron)
                 grads = input_gradient(m, x, select=(layer, neuron))
                 values = selected_output(m, x, select=(layer, neuron))
                 for r in range(4):
@@ -317,35 +320,44 @@ class TestEvaluate:
 
 
 class TestTruncate:
+    """A (layer, neuron) selection against the oracle's separate truncated net."""
+
     def test_output_selector_is_identity(self):
         m = init_mlp([24, 8, 8, 1], seed=16)
-        t = truncate_at_neuron(m, NeuronSelector(3, 0))
         x = np.random.default_rng(12).uniform(-1, 1, 24)
-        assert predict(t, x) == predict(m, x)
+        assert selected_output(m, x, select=(3, 0)) == predict(m, x)
+        assert predict(truncate_at_neuron(m, 3, 0), x) == predict(m, x)
 
     def test_consistency_with_recorded_activations(self):
         rng = np.random.default_rng(13)
         m = init_mlp([24, 5, 7, 1], activation="elu", alpha=0.1, seed=17)
         for layer in (1, 2):
             for neuron in range(m.layer_sizes[layer]):
-                t = truncate_at_neuron(m, NeuronSelector(layer, neuron))
+                t = truncate_at_neuron(m, layer, neuron)
                 for _ in range(100):
                     x = rng.uniform(-1, 1, 24)
-                    _, _, posts = forward(m, x)
-                    assert abs(predict(t, x) - posts[layer][neuron]) < 1e-12
+                    _, posts = forward(m, x)
+                    value = selected_output(m, x, select=(layer, neuron))
+                    assert value == predict(t, x)
+                    assert abs(value - posts[layer][neuron]) < 1e-12
 
     def test_first_layer_shape(self):
+        # a hidden neuron keeps its activation: 1-wide hidden layer, then 1x1 identity
         m = init_mlp([24, 4, 1], seed=18)
-        t = truncate_at_neuron(m, NeuronSelector(1, 0))
-        assert t.layer_sizes == [24, 1]
+        t = truncate_at_neuron(m, 1, 0)
+        assert t.layer_sizes == [24, 1, 1]
         assert t.weights[0].shape == (1, 24)
+        assert t.weights[1] == 1.0 and t.biases[1] == 0.0
+        x = -np.sign(m.weights[0][0])  # drives neuron 0 below zero
+        assert selected_output(m, x, select=(1, 0)) == predict(t, x) == 0.0
 
     def test_out_of_range(self):
         m = init_mlp([24, 4, 1], seed=0)
-        with pytest.raises(ValueError):
-            truncate_at_neuron(m, NeuronSelector(1, 4))
-        with pytest.raises(ValueError):
-            truncate_at_neuron(m, NeuronSelector(3, 0))
+        for select in ((1, 4), (3, 0)):
+            with pytest.raises(ValueError):
+                selected_output(m, np.zeros(24), select=select)
+            with pytest.raises(ValueError):
+                truncate_at_neuron(m, *select)
 
 
 class TestTrain:
