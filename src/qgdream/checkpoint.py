@@ -53,7 +53,16 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    lines = Path(path).read_text().splitlines()
+    """The model a checkpoint file holds; CheckpointError names the file."""
+    try:
+        return _parse_checkpoint(Path(path).read_text().splitlines(), path)
+    except CheckpointError:
+        raise
+    except ValueError as exc:  # undecodable bytes, bad numbers, ragged rows
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(lines, path):
     if not lines or not lines[0].startswith("qgdream-checkpoint"):
         raise CheckpointError(f"{path}: not a qgdream checkpoint")
     magic = lines[0].split()

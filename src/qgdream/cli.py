@@ -244,6 +244,8 @@ def cmd_activations(args):
 
 def cmd_shift(args):
     cfg = _resolve(args, {"cap": 0.5})
+    if not 0.0 <= cfg["cap"] <= 1.0:
+        raise ValueError(f"--cap must be a number in [0, 1], got {cfg['cap']}")
     initial, final = tables.read_ensemble(args.ensemble)
     report = analysis.shift_report(initial, final, cap=cfg["cap"])
     tables.write_shift_report(report, args.out)

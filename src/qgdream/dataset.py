@@ -9,7 +9,9 @@ Little-endian layout:
     seed    u64      generation seed
     records n * (24 float32 inputs + 1 float32 label)
 
-Labels are stored float32; generation computes them in float64.
+Labels are stored float32; generation computes them in float64. The reader
+rejects a record whose weights leave [-1, 1] or whose label leaves [0, 1]
+(nan included): every property lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -104,5 +106,11 @@ def read_dataset(path):
         raise DatasetReadError(
             f"{path}: size {len(data)} != expected {expected} for {n} records")
     records = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(n, 25)
-    return Dataset(_TAG_PROPERTIES[tag], records[:, :24].copy(),
-                   records[:, 24].copy(), seed)
+    inputs, labels = records[:, :24].copy(), records[:, 24].copy()
+    # min and max propagate nan, so nan fails these comparisons too
+    if not (-1.0 <= inputs.min(initial=0.0) and inputs.max(initial=0.0) <= 1.0
+            and 0.0 <= labels.min(initial=0.0) and labels.max(initial=0.0) <= 1.0):
+        bad = ~((np.abs(inputs) <= 1.0).all(axis=1) & (labels >= 0.0) & (labels <= 1.0))
+        raise DatasetReadError(f"{path}: record {int(np.argmax(bad))} holds a weight "
+                               f"outside [-1, 1] or a label outside [0, 1]")
+    return Dataset(_TAG_PROPERTIES[tag], inputs, labels, seed)

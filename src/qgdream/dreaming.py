@@ -42,8 +42,10 @@ class DreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.lr <= 0 or self.snapshot_stride < 1:
-            raise ValueError("steps and snapshot_stride must be >= 1, lr > 0")
+        if self.steps < 1 or self.snapshot_stride < 1:
+            raise ValueError("steps and snapshot_stride must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Feed-forward network with from-scratch backprop, Adam, and training loop.
 
-All arithmetic is float64. Models are plain dataclasses of numpy arrays;
-forward/backward are hand-written reverse mode (no autodiff framework).
+Models are plain dataclasses of numpy arrays; forward/backward are
+hand-written reverse mode (no autodiff framework). The passes compute in
+the model's dtype. Every model the package builds, saves or dreams on is
+float64; only train's forward and backward passes run in float32, on a
+float32 shadow of float64 master weights that Adam updates.
 The batched forward and backward passes work in place: one fresh array per
 layer, which the backward pass reuses for its deltas, so a training batch
 does not churn through a dozen large temporaries.
@@ -60,6 +63,10 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max epochs must be >= 1, got {self.max_epochs}")
+        if not (np.isfinite(self.lr_init) and self.lr_init > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr_init}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"learning-rate decay must be in (0, 1], got {self.lr_decay}")
 
 
 @dataclass
@@ -77,18 +84,21 @@ class TrainHistory:
         return min(self.test_mse) if self.test_mse else float("nan")
 
 
+# Both keep z's dtype. alpha enters as a Python float: an np.float64 alpha
+# would promote a float32 pass to float64.
+
 def _activate(z, activation, alpha):
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "elu":
-        return np.where(z > 0.0, z, alpha * np.expm1(z))
+        return np.where(z > 0.0, z, float(alpha) * np.expm1(z))
     raise ValueError(f"unknown activation {activation!r}")
 
 
 def _activate_grad(z, activation, alpha):
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.where(z > 0.0, 1.0, alpha * np.exp(z))
+        return (z > 0.0).astype(z.dtype)
+    return np.where(z > 0.0, 1.0, float(alpha) * np.exp(z))
 
 
 def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
@@ -112,9 +122,10 @@ def _forward(model, x):
     to which the bias is added and, on a hidden layer, the ReLU applied in
     place. The output layer is never activated. pre_activations has one
     entry per hidden layer: z for ELU, whose derivative needs it, else
-    None. The lists stay batched for a single (d,) input.
+    None. The lists stay batched for a single (d,) input. x is cast to the
+    model's dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=model.weights[0].dtype)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != model.layer_sizes[0]:
@@ -159,20 +170,23 @@ def param_gradients(model, x, y, *, return_loss=False):
     """Gradients of the mean squared error over the batch.
 
     Returns (weight_grads, bias_grads) matching the model's parameter lists;
-    with return_loss, also the batch MSE from the same forward pass.
+    with return_loss, also the batch MSE from the same forward pass, summed
+    in float64. x and y are cast to the model's dtype, in which every
+    array is computed: a float32 model gives float32 gradients.
 
     The backward pass reuses the forward pass's arrays: a ReLU layer's mask
     is taken from its post-activation (a > 0 exactly where z > 0), and each
     new delta is written over the post-activation it has just finished
     with. The input x is never written to.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    dtype = model.weights[0].dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    y = np.asarray(y, dtype=dtype).reshape(-1)
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("batch inputs and labels must be nonempty and aligned")
     out, pres, posts = _forward(model, x)
     n = len(y)
-    loss = float(np.mean((out - y) ** 2)) if return_loss else None
+    loss = float(np.mean((out - y) ** 2, dtype=np.float64)) if return_loss else None
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
     relu = model.activation == "relu"
 
@@ -328,11 +342,12 @@ def _symmetry_mapped(x, idx, rng):
     """Rows x[idx], each passed through one uniformly drawn group element.
 
     Elements 0..23 are the vertex relabellings of edges.EDGE_PERMUTATIONS;
-    elements 24..47 are the same relabellings followed by a sign flip.
+    elements 24..47 are the same relabellings followed by a sign flip. The
+    rows keep x's dtype.
     """
     n_perms = len(EDGE_PERMUTATIONS)
     element = rng.integers(2 * n_perms, size=len(idx))
-    sign = np.where(element < n_perms, 1.0, -1.0)
+    sign = np.where(element < n_perms, 1, -1).astype(x.dtype)
     return sign[:, None] * x[idx[:, None], EDGE_PERMUTATIONS[element % n_perms]]
 
 
@@ -353,9 +368,16 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     config.plateau_rel_tol (relative) over a plateau window, and stops once
     no new best test MSE appears for config.convergence_patience epochs or
     the epoch cap is hit. Returns (best model, history).
+
+    The model, its Adam state and the test evaluation are float64. Each
+    batch's forward and backward passes run in float32, on a float32 shadow
+    of the weights refreshed after every Adam step (Micikevicius et al.,
+    "Mixed Precision Training", 2018); the gradients are cast back to
+    float64 for Adam. The training split is cast to float32 once, the test
+    split to float64; inputs is not modified.
     """
     cfg = config or TrainConfig()
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if len(x) == 0:
         raise ValueError("empty dataset")
@@ -370,11 +392,15 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     if len(train_idx) == 0:
         raise ValueError(f"dataset of {len(x)} record(s) leaves no training row "
                          f"after the {n_test}-row test split")
-    x_train, y_train = x[train_idx], y[train_idx]
-    x_test, y_test = x[test_idx], y[test_idx]
+    x_train = x[train_idx].astype(np.float32, copy=False)
+    y_train = y[train_idx].astype(np.float32)
+    x_test, y_test = x[test_idx].astype(np.float64, copy=False), y[test_idx]
 
     model = init_mlp(layer_sizes, activation=activation, seed=cfg.seed, alpha=alpha)
     params = model.weights + model.biases
+    shadow = Mlp(model.layer_sizes, activation, [w.astype(np.float32) for w in model.weights],
+                 [b.astype(np.float32) for b in model.biases], alpha=alpha)
+    shadow_params = shadow.weights + shadow.biases
     opt = Adam(params)
     lr = cfg.lr_init
     history = TrainHistory()
@@ -390,9 +416,11 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         for start in range(0, len(x_train) - batch + 1, batch):
             idx = order[start:start + batch]
             xb, yb = _symmetry_mapped(x_train, idx, rng), y_train[idx]
-            w_grads, b_grads, loss = param_gradients(model, xb, yb, return_loss=True)
+            w_grads, b_grads, loss = param_gradients(shadow, xb, yb, return_loss=True)
             batch_losses.append(loss)
-            opt.step(params, w_grads + b_grads, lr)
+            opt.step(params, [g.astype(np.float64) for g in w_grads + b_grads], lr)
+            for s, p in zip(shadow_params, params):
+                np.copyto(s, p)
         train_mse = float(np.mean(batch_losses))
         test_mse = evaluate(model, x_test, y_test)
         if not np.isfinite(train_mse) or not np.isfinite(test_mse):

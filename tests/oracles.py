@@ -77,19 +77,22 @@ def _activate(z, activation, alpha):
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "elu":
-        return np.where(z > 0.0, z, alpha * np.expm1(z))
+        return np.where(z > 0.0, z, float(alpha) * np.expm1(z))
     raise ValueError(f"unknown activation {activation!r}")
 
 
 def _activate_grad(z, activation, alpha):
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.where(z > 0.0, 1.0, alpha * np.exp(z))
+        return (z > 0.0).astype(z.dtype)
+    return np.where(z > 0.0, 1.0, float(alpha) * np.exp(z))
 
 
 def _reference_pass(model, x):
-    """(outputs, pre_activations, post_activations) of a (n, d) batch."""
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """(outputs, pre_activations, post_activations) of a (n, d) batch.
+
+    Computes in the model's dtype, as the package does.
+    """
+    a = np.atleast_2d(np.asarray(x, dtype=model.weights[0].dtype))
     if a.shape[1] != model.layer_sizes[0]:
         raise ValueError(f"input width {a.shape[1]} != {model.layer_sizes[0]}")
     pres, posts = [], [a]
@@ -120,15 +123,17 @@ def reference_param_gradients(model, x, y, *, return_loss=False):
     """Allocating backprop of the batch mean squared error.
 
     Returns (weight_grads, bias_grads) matching the model's parameter lists;
-    with return_loss, also the batch MSE from the same forward pass.
+    with return_loss, also the batch MSE from the same forward pass, summed
+    in float64. Every array is in the model's dtype.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    dtype = model.weights[0].dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    y = np.asarray(y, dtype=dtype).reshape(-1)
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("batch inputs and labels must be nonempty and aligned")
     out, pres, posts = _reference_pass(model, x)
     n = len(y)
-    loss = float(np.mean((out - y) ** 2)) if return_loss else None
+    loss = float(np.mean((out - y) ** 2, dtype=np.float64)) if return_loss else None
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers

@@ -136,3 +136,34 @@ def test_unknown_activation(tmp_path):
     path.write_text(path.read_text().replace("activation relu", "activation tanh", 1))
     with pytest.raises(CheckpointError, match="unknown activation 'tanh'"):
         load_checkpoint(path)
+
+
+def _ragged_row(text):
+    lines = text.splitlines()
+    lines[7] += " 0.5"  # the first weight row of layer 0 gets a 25th value
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _ragged_row,
+    lambda text: text.replace("seed 0", "seed zero", 1),
+    lambda text: text.replace("layer_sizes 24,4,1", "layer_sizes 24,four,1", 1),
+    lambda text: text[:200] + "x" + text[201:],
+], ids=["ragged-row", "seed", "layer_sizes", "weight"])
+def test_malformed_text_names_the_file(tmp_path, corrupt):
+    # numpy's and float()'s own messages used to escape without the path
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(CheckpointError, match=f"{path}: malformed checkpoint"):
+        load_checkpoint(path)
+
+
+def test_undecodable_bytes_name_the_file(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
+    data = bytearray(path.read_bytes())
+    data[150] = 0xff
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=f"{path}: malformed checkpoint"):
+        load_checkpoint(path)

@@ -349,3 +349,96 @@ def test_fuzzed_ensemble_file_exits_cleanly(tmp_path, text):
         assert last.startswith("error:")
     else:
         assert _non_finite_cells(out) == []
+
+
+@pytest.mark.parametrize("lr", ["0", "-1e-3", "nan", "inf"])
+def test_bad_train_learning_rate_error_exit(workspace, tmp_path, capsys, lr):
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,4,1", "--max-epochs", "2",
+                 f"--lr={lr}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning rate must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_bad_dream_learning_rate_error_exit(workspace, tmp_path, capsys, lr):
+    # lr <= 0 was already refused; nan and inf passed that comparison
+    _, _, ckpt = workspace
+    out = tmp_path / "ens.csv"
+    assert main(["dream", "--checkpoint", str(ckpt), "--runs", "3", "--steps", "3",
+                 "--lr", lr, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning rate must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "-0.1", "1.5"])
+def test_bad_shift_cap_error_exit(tmp_path, capsys, cap):
+    ens, out = tmp_path / "ens.csv", tmp_path / "shift.csv"
+    ens.write_text("run,initial_true,final_true\n0,0.125,0.5\n1,0.25,0.75\n")
+    assert main(["shift", "--ensemble", str(ens), "--cap", cap, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cap must be a number in [0, 1]" in err
+    assert not out.exists()
+
+
+def _mutated(data, cut, edits):
+    """data cut to its first `cut` bytes, then each (position, byte) edit applied."""
+    data = bytearray(data[:cut])
+    for pos, byte in edits:
+        if data:
+            data[pos % len(data)] = byte
+    return bytes(data)
+
+
+def _mutations(size, header):
+    """Truncations and byte edits, half of the edits aimed at the first header bytes."""
+    position = st.one_of(st.integers(0, header - 1), st.integers(0, size - 1))
+    return st.tuples(st.one_of(st.just(size), st.integers(0, size)),
+                     st.lists(st.tuples(position, st.integers(0, 255)), max_size=4))
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A 40-record dataset and a [24,4,1] checkpoint, small enough to fuzz."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ds = root / "small.qgdd"
+    assert main(["gen", "--n", "40", "--seed", "12", "--out", str(ds)]) == 0
+    ckpt = root / "small.ckpt"
+    save_checkpoint(init_mlp([24, 4, 1], seed=5), ckpt)
+    return ds.read_bytes(), ckpt.read_bytes()
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzzed_dataset_file_exits_cleanly(small_files, tmp_path, data):
+    valid = small_files[0]
+    cut, edits = data.draw(_mutations(len(valid), 25))
+    ds, out = tmp_path / "ds.qgdd", tmp_path / "net.ckpt"
+    ds.write_bytes(_mutated(valid, cut, edits))
+    code, last = _run_fuzzed(["train", "--dataset", ds, "--layers", "24,4,1",
+                              "--batch-size", "16", "--max-epochs", "2", "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+    else:
+        load_checkpoint(out)  # refuses non-finite parameters
+        assert _non_finite_cells(f"{out}.history.csv") == []
+
+
+@_FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_file_exits_cleanly(small_files, tmp_path, data):
+    valid = small_files[1]
+    cut, edits = data.draw(_mutations(len(valid), 100))
+    ckpt, out = tmp_path / "net.ckpt", tmp_path / "traj.csv"
+    ckpt.write_bytes(_mutated(valid, cut, edits))
+    code, last = _run_fuzzed(["dream", "--checkpoint", ckpt, "--steps", "5", "--stride", "5",
+                              "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+    else:
+        assert _non_finite_cells(out, skip=("true",)) == []

@@ -86,3 +86,19 @@ class TestRoundTrip:
         path.write_bytes(b"QG")
         with pytest.raises(DatasetReadError):
             read_dataset(path)
+
+
+@pytest.mark.parametrize("column,value", [(3, 1.5), (3, -1e30), (3, np.nan),
+                                          (24, 1.5), (24, -0.25), (24, np.nan)])
+def test_out_of_range_record_rejected(tmp_path, column, value):
+    # weights lie in [-1, 1] and every property in [0, 1]; a corrupt record
+    # used to train on, or end in a non-finite loss after the first epoch
+    ds = generate_dataset("ghz_fidelity", 10, cap=0.5, seed=6)
+    path = tmp_path / "ds.qgdd"
+    write_dataset(ds, path)
+    data = bytearray(path.read_bytes())
+    offset = len(data) - 10 * 100 + 7 * 100 + column * 4  # record 7
+    data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(DatasetReadError, match="record 7 holds"):
+        read_dataset(path)

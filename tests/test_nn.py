@@ -31,6 +31,12 @@ def rel_error(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
+def cast_model(model, dtype):
+    """A copy of model with every weight and bias cast to dtype."""
+    return Mlp(model.layer_sizes, model.activation, [w.astype(dtype) for w in model.weights],
+               [b.astype(dtype) for b in model.biases], alpha=model.alpha, seed=model.seed)
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_mlp([24, 8, 1], seed=3)
@@ -166,14 +172,15 @@ class TestReferenceBackprop:
         rng = np.random.default_rng(n)
         x = rng.uniform(-1, 1, (n, 24))
         y = rng.uniform(0, 0.5, n)
-        x_before, checksum = x.copy(), m.checksum()
-        w_grads, b_grads, loss = param_gradients(m, x, y, return_loss=True)
-        w_ref, b_ref, loss_ref = reference_param_gradients(m, x, y, return_loss=True)
-        for a, b in zip(w_grads + b_grads, w_ref + b_ref):
-            assert np.array_equal(a, b)
-        assert loss == loss_ref
-        assert np.array_equal(x, x_before)
-        assert m.checksum() == checksum
+        for net in (m, cast_model(m, np.float32)):  # the float64 net and its training shadow
+            x_before, checksum = x.copy(), net.checksum()
+            w_grads, b_grads, loss = param_gradients(net, x, y, return_loss=True)
+            w_ref, b_ref, loss_ref = reference_param_gradients(net, x, y, return_loss=True)
+            for a, b in zip(w_grads + b_grads, w_ref + b_ref):
+                assert np.array_equal(a, b)
+            assert loss == loss_ref
+            assert np.array_equal(x, x_before)
+            assert net.checksum() == checksum
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     def test_forward_and_predict_equal_reference(self, activation):
@@ -193,11 +200,71 @@ class TestReferenceBackprop:
         y = rng.uniform(0, 0.5, 300)
         cfg = TrainConfig(batch_size=64, seed=3, max_epochs=4, convergence_patience=4)
         model, hist = train(x, y, [24, 16, 8, 1], cfg)
-        monkeypatch.setattr(nn, "param_gradients", reference_param_gradients)
+        seen = set()
+
+        def reference_on_shadow(shadow, xb, yb, **kwargs):
+            seen.update((w.dtype for w in shadow.weights + shadow.biases))
+            seen.add(xb.dtype)
+            return reference_param_gradients(shadow, xb, yb, **kwargs)
+
+        monkeypatch.setattr(nn, "param_gradients", reference_on_shadow)
         ref_model, ref_hist = train(x, y, [24, 16, 8, 1], cfg)
+        assert seen == {np.dtype(np.float32)}
         assert model.checksum() == ref_model.checksum()
         assert hist.train_mse == ref_hist.train_mse
         assert hist.test_mse == ref_hist.test_mse
+
+
+class TestMixedPrecision:
+    """Float32 passes on a float32 model; everything else stays float64."""
+
+    @pytest.mark.parametrize("activation,alpha", [("relu", 1.0), ("elu", 0.1),
+                                                  ("elu", np.float64(0.1))])
+    def test_float32_gradients_match_float64_reference(self, activation, alpha):
+        m = init_mlp([24, 16, 12, 8, 1], activation=activation, alpha=alpha, seed=25)
+        rng = np.random.default_rng(26)
+        x = rng.uniform(-1, 1, (300, 24)).astype(np.float32)
+        y = rng.uniform(0, 0.5, 300).astype(np.float32)
+        shadow = cast_model(m, np.float32)
+        w_grads, b_grads, loss = param_gradients(shadow, x, y, return_loss=True)
+        w_ref, b_ref, loss_ref = reference_param_gradients(
+            m, x.astype(np.float64), y.astype(np.float64), return_loss=True)
+        _, posts = forward(shadow, x)
+        for a in w_grads + b_grads + posts:
+            assert a.dtype == np.float32
+        for a, b in zip(w_grads + b_grads, w_ref + b_ref, strict=True):
+            assert rel_error(a, b) < 1e-5
+        assert abs(loss - loss_ref) < 1e-5 * loss_ref
+
+    def test_seeded_train_reproducible(self):
+        rng = np.random.default_rng(27)
+        x = rng.uniform(-1, 1, (400, 24)).astype(np.float32)
+        y = rng.uniform(0, 0.5, 400).astype(np.float32)
+        cfg = TrainConfig(batch_size=100, seed=4, max_epochs=6, convergence_patience=6)
+        runs = [train(x, y, [24, 8, 8, 1], cfg, activation="elu", alpha=0.5)
+                for _ in range(2)]
+        (m1, h1), (m2, h2) = runs
+        assert m1.checksum() == m2.checksum()
+        assert (h1.train_mse, h1.test_mse, h1.learning_rate) == \
+            (h2.train_mse, h2.test_mse, h2.learning_rate)
+        assert all(p.dtype == np.float64 for p in m1.weights + m1.biases)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_leaves_inputs_unchanged(self, dtype):
+        rng = np.random.default_rng(28)
+        x = rng.uniform(-1, 1, (300, 24)).astype(dtype)
+        y = rng.uniform(0, 0.5, 300).astype(dtype)
+        x_before, y_before = x.copy(), y.copy()
+        train(x, y, [24, 4, 1], TrainConfig(batch_size=100, max_epochs=2))
+        assert np.array_equal(x, x_before) and x.dtype == dtype
+        assert np.array_equal(y, y_before) and y.dtype == dtype
+
+    def test_predict_float64_model_on_float32_input(self):
+        m = init_mlp([24, 16, 8, 1], seed=29)
+        x = np.random.default_rng(30).uniform(-1, 1, (50, 24)).astype(np.float32)
+        out = predict(m, x)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, predict(m, x.astype(np.float64)))
 
 
 class TestInputGradient:
@@ -433,6 +500,15 @@ class TestTrain:
                                              ("max_epochs", 0)])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"must be >= 1, got {value}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("lr_init", 0.0, "finite and > 0"), ("lr_init", -1e-3, "finite and > 0"),
+        ("lr_init", float("nan"), "finite and > 0"), ("lr_init", float("inf"), "finite and > 0"),
+        ("lr_decay", 0.0, r"in \(0, 1\]"), ("lr_decay", 1.5, r"in \(0, 1\]"),
+        ("lr_decay", float("nan"), r"in \(0, 1\]")])
+    def test_bad_learning_rate_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
 
     def test_history_lengths(self):
