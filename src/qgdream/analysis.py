@@ -91,8 +91,10 @@ def weighted_activations(model, x, threshold=0.05):
 
     Values are divided by the single largest entry across the whole net
     (left untouched when everything is zero); the masks keep entries at or
-    above the threshold.
+    above the threshold, a number in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be a number in [0, 1], got {threshold}")
     _, posts = forward(model, np.asarray(x, dtype=np.float64))
     layers = [np.abs(w * a[None, :]) for w, a in zip(model.weights, posts)]
     global_max = max(float(layer.max()) for layer in layers)

@@ -85,18 +85,31 @@ def _matching_edges(direction, bits):
 
 
 def _build_matching_tables():
-    """(3,16) index arrays E1, E2: edges of matching (direction, ket)."""
+    """The 48 matching terms, by (direction, ket) and by edge.
+
+    Returns the (3,16) index arrays E1, E2 of the edges of matching
+    (direction, ket), and the (24, 4) kets and partner edges of the terms
+    each edge lies in, in direction-then-ket order.
+    """
     e1 = np.empty((3, N_KETS), dtype=np.intp)
     e2 = np.empty((3, N_KETS), dtype=np.intp)
+    terms = [[] for _ in range(N_EDGES)]
     for d, direction in enumerate(DIRECTIONS):
         for ket in range(N_KETS):
-            e1[d, ket], e2[d, ket] = _matching_edges(direction, ket_bits(ket))
-    return e1, e2
+            a, b = _matching_edges(direction, ket_bits(ket))
+            e1[d, ket], e2[d, ket] = a, b
+            terms[a].append((ket, b))
+            terms[b].append((ket, a))
+    table = np.array(terms, dtype=np.intp)  # (24, 4, 2); ragged rows would raise
+    return e1, e2, table[..., 0], table[..., 1]
 
 
 #: For each (direction, ket): the two edge indices whose weight product is
-#: that matching's contribution to the ket amplitude.
-MATCH_EDGE_1, MATCH_EDGE_2 = _build_matching_tables()
+#: that matching's contribution to the ket amplitude. Seen from the edges,
+#: edge e appears in amplitude EDGE_TERM_KETS[e, t] multiplied by the weight
+#: of EDGE_TERM_PARTNERS[e, t], t = 0..3, so d amp[k] / d w[e] is the sum of
+#: w[partner] over e's terms with ket k.
+MATCH_EDGE_1, MATCH_EDGE_2, EDGE_TERM_KETS, EDGE_TERM_PARTNERS = _build_matching_tables()
 
 
 #: The 24 permutations of the vertices (0, 1, 2, 3), the identity first.

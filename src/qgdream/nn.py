@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr_init}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"learning-rate decay must be in (0, 1], got {self.lr_decay}")
+        if self.convergence_patience < 1:
+            raise ValueError(f"convergence patience must be >= 1, got {self.convergence_patience}")
 
 
 @dataclass
@@ -106,6 +108,8 @@ def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"invalid layer sizes {sizes}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

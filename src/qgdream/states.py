@@ -14,7 +14,7 @@ import enum
 import numpy as np
 
 from . import kernels
-from .edges import MATCH_EDGE_1, MATCH_EDGE_2, N_EDGES, N_KETS
+from .edges import EDGE_TERM_KETS, EDGE_TERM_PARTNERS, N_EDGES, N_KETS
 
 #: Norm-squared below which a graph is considered to create no state.
 EPS_NORM = 1e-12
@@ -43,10 +43,24 @@ GHZ_STATE = _fixed_state([(0b0000, 1 / np.sqrt(2)), (0b1111, 1 / np.sqrt(2))])
 #: (|1000> + |0100> + |0010> + |0001>) / 2  (prefactor chosen for unit norm)
 W_STATE = _fixed_state([(0b1000, 0.5), (0b0100, 0.5), (0b0010, 0.5), (0b0001, 0.5)])
 
-#: The 7 canonical bipartitions of the 4 qubits: each is the side that
-#: contains qubit 0 is excluded from double counting by listing every
-#: nonempty subset not containing its complement twice.
+#: Fidelity targets by property.
+_TARGETS = {Property.GHZ_FIDELITY: GHZ_STATE, Property.W_FIDELITY: W_STATE}
+
+#: The 7 bipartitions of the 4 qubits, one side of each: the four single
+#: qubits and the three pairs that contain qubit 0. A side and its
+#: complement have the same reduced purity, so the other 7 nonempty proper
+#: subsets would count every cut twice.
 BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
+
+
+def _axes(subset):
+    """(perm, inverse): qubit axes that put `subset` first, and the way back."""
+    perm = tuple(subset) + tuple(q for q in range(4) if q not in subset)
+    return perm, tuple(int(q) for q in np.argsort(perm))
+
+
+#: _axes of every bipartition, computed once.
+_BIPARTITION_AXES = {subset: _axes(subset) for subset in BIPARTITIONS}
 
 #: Canonical GHZ graph: H matching of |0000> plus D matching of |1111>.
 GHZ_GRAPH = np.zeros(N_EDGES)
@@ -58,9 +72,8 @@ GHZ_GRAPH[19] = 1.0  # (1,3) modes (1,1)
 
 def random_graph(seed_or_rng):
     """24 i.i.d. uniform [-1, 1] edge weights; deterministic per seed."""
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator) else seed_or_rng
-    return rng.uniform(-1.0, 1.0, N_EDGES)
+    # default_rng returns a Generator argument as it is
+    return np.random.default_rng(seed_or_rng).uniform(-1.0, 1.0, N_EDGES)
 
 
 def build_state(graph):
@@ -95,9 +108,9 @@ def fidelity(graph, target):
 
 def _bipartition_matrix(state, subset):
     """Amplitudes reshaped to (2^|subset|, 2^|complement|)."""
+    perm, _ = _BIPARTITION_AXES.get(subset) or _axes(subset)
     s = np.asarray(state).reshape(2, 2, 2, 2)
-    comp = tuple(q for q in range(4) if q not in subset)
-    return np.transpose(s, subset + comp).reshape(2 ** len(subset), -1)
+    return np.transpose(s, perm).reshape(2 ** len(subset), -1)
 
 
 def reduced_purity(state, subset):
@@ -127,12 +140,9 @@ def pm_probability_array(graph):
 def property_value(graph, prop):
     """Evaluate one of the trained target properties on a graph."""
     prop = Property(prop)
-    s = normalize_state(build_state(graph))
-    if prop is Property.GHZ_FIDELITY:
-        return float(np.dot(s, GHZ_STATE) ** 2)
-    if prop is Property.W_FIDELITY:
-        return float(np.dot(s, W_STATE) ** 2)
-    return mean_purity(s)
+    if prop in _TARGETS:
+        return fidelity(graph, _TARGETS[prop])
+    return mean_purity(normalize_state(build_state(graph)))
 
 
 def property_value_batch(weights, prop):
@@ -147,16 +157,13 @@ def property_value_batch(weights, prop):
     norm2 = np.einsum("nk,nk->n", states, states)
     valid = norm2 > EPS_NORM ** 2
     safe = np.where(valid, norm2, 1.0)
-    if prop in (Property.GHZ_FIDELITY, Property.W_FIDELITY):
-        target = GHZ_STATE if prop is Property.GHZ_FIDELITY else W_STATE
-        values = (states @ target) ** 2 / safe
+    if prop in _TARGETS:
+        values = (states @ _TARGETS[prop]) ** 2 / safe
     else:
         normed = states / np.sqrt(safe)[:, None]
         acc = np.zeros(len(w))
-        for subset in BIPARTITIONS:
-            comp = tuple(q for q in range(4) if q not in subset)
-            m = np.transpose(normed.reshape(-1, 2, 2, 2, 2),
-                             (0,) + tuple(q + 1 for q in subset + comp))
+        for subset, (perm, _) in _BIPARTITION_AXES.items():
+            m = np.transpose(normed.reshape(-1, 2, 2, 2, 2), (0, *(q + 1 for q in perm)))
             m = m.reshape(len(w), 2 ** len(subset), -1)
             rho = np.einsum("nij,nkj->nik", m, m)
             acc += np.einsum("nik,nik->n", rho, rho)
@@ -172,24 +179,20 @@ def property_gradient(graph, prop):
     norm2 = float(np.dot(s, s))
     if norm2 <= EPS_NORM ** 2:
         raise DegenerateStateError("gradient undefined for a degenerate state")
-    jac = kernels.state_jacobian(w)  # (16, 24)
-    if prop in (Property.GHZ_FIDELITY, Property.W_FIDELITY):
-        target = GHZ_STATE if prop is Property.GHZ_FIDELITY else W_STATE
+    if prop in _TARGETS:
+        target = _TARGETS[prop]
         overlap = float(np.dot(s, target))
         grad_s = (2.0 * overlap / norm2) * target - (2.0 * overlap ** 2 / norm2 ** 2) * s
     else:
         norm = np.sqrt(norm2)
         s_hat = s / norm
         g_hat = np.zeros(N_KETS)
-        for subset in BIPARTITIONS:
-            comp = tuple(q for q in range(4) if q not in subset)
-            perm = subset + comp
+        for subset, (_, inv) in _BIPARTITION_AXES.items():
             m = _bipartition_matrix(s_hat, subset)
             dm = 4.0 * (m @ m.T @ m)  # d tr((MM^T)^2) / dM
-            inv = np.argsort(perm)
-            g_hat += np.transpose(
-                dm.reshape((2,) * 4), inv).reshape(N_KETS)
+            g_hat += np.transpose(dm.reshape((2,) * 4), inv).reshape(N_KETS)
         g_hat /= len(BIPARTITIONS)
         # chain through normalization: s_hat = s / |s|
         grad_s = (g_hat - np.dot(g_hat, s_hat) * s_hat) / norm
-    return jac.T @ grad_s
+    # amplitude k is a sum of weight pairs, so dF/dw[e] sums e's 4 terms
+    return (grad_s.take(EDGE_TERM_KETS) * w.take(EDGE_TERM_PARTNERS)).sum(1)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's fast paths: state construction
 enumerates the three vertex pairings explicitly, purity goes through the
-dense 16x16 density matrix with an explicit partial trace, backprop
+dense 16x16 density matrix with an explicit partial trace, the property
+gradient through the dense (16, 24) state jacobian, backprop
 allocates a fresh array for every intermediate instead of working in place,
 and a neuron is isolated by building a separate net whose output it is,
 instead of by the package's (layer, neuron) selection.
@@ -10,7 +11,17 @@ instead of by the package's (layer, neuron) selection.
 
 import numpy as np
 
+from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
 from qgdream.nn import Mlp
+from qgdream.states import (
+    BIPARTITIONS,
+    EPS_NORM,
+    GHZ_STATE,
+    W_STATE,
+    DegenerateStateError,
+    Property,
+    build_state,
+)
 
 
 def brute_force_state(weights):
@@ -60,6 +71,55 @@ def dense_reduced_purity(state, keep):
             if all(bi[q] == bj[q] for q in traced):
                 rho_a[bits_to_index(bi, keep), bits_to_index(bj, keep)] += rho[i, j]
     return float(np.trace(rho_a @ rho_a))
+
+
+def accumulated_state_jacobian(weights):
+    """d amplitude / d weight, shape (16, 24), accumulating every matching term."""
+    w = np.asarray(weights, dtype=np.float64)
+    jac = np.zeros((16, 24))
+    kets = np.arange(16)
+    for d in range(3):
+        np.add.at(jac, (kets, MATCH_EDGE_1[d]), w[MATCH_EDGE_2[d]])
+        np.add.at(jac, (kets, MATCH_EDGE_2[d]), w[MATCH_EDGE_1[d]])
+    return jac
+
+
+def _bipartition_matrix(state, subset):
+    """Amplitudes reshaped to (2^|subset|, 2^|complement|)."""
+    s = np.asarray(state).reshape(2, 2, 2, 2)
+    comp = tuple(q for q in range(4) if q not in subset)
+    return np.transpose(s, subset + comp).reshape(2 ** len(subset), -1)
+
+
+def dense_property_gradient(graph, prop):
+    """Gradient of property_value as the dense state jacobian's transpose times dF/ds."""
+    prop = Property(prop)
+    w = np.asarray(graph, dtype=np.float64)
+    s = build_state(w)
+    norm2 = float(np.dot(s, s))
+    if norm2 <= EPS_NORM ** 2:
+        raise DegenerateStateError("gradient undefined for a degenerate state")
+    jac = accumulated_state_jacobian(w)  # (16, 24)
+    if prop in (Property.GHZ_FIDELITY, Property.W_FIDELITY):
+        target = GHZ_STATE if prop is Property.GHZ_FIDELITY else W_STATE
+        overlap = float(np.dot(s, target))
+        grad_s = (2.0 * overlap / norm2) * target - (2.0 * overlap ** 2 / norm2 ** 2) * s
+    else:
+        norm = np.sqrt(norm2)
+        s_hat = s / norm
+        g_hat = np.zeros(N_KETS)
+        for subset in BIPARTITIONS:
+            comp = tuple(q for q in range(4) if q not in subset)
+            perm = subset + comp
+            m = _bipartition_matrix(s_hat, subset)
+            dm = 4.0 * (m @ m.T @ m)  # d tr((MM^T)^2) / dM
+            inv = np.argsort(perm)
+            g_hat += np.transpose(
+                dm.reshape((2,) * 4), inv).reshape(N_KETS)
+        g_hat /= len(BIPARTITIONS)
+        # chain through normalization: s_hat = s / |s|
+        grad_s = (g_hat - np.dot(g_hat, s_hat) * s_hat) / norm
+    return jac.T @ grad_s
 
 
 def finite_difference(f, x, h=1e-5):

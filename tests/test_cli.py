@@ -442,3 +442,75 @@ def test_fuzzed_checkpoint_file_exits_cleanly(small_files, tmp_path, data):
         assert last.startswith("error:")
     else:
         assert _non_finite_cells(out, skip=("true",)) == []
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_bad_train_alpha_error_exit(workspace, tmp_path, capsys, alpha):
+    # relu ignores alpha, but the checkpoint records it and its reader
+    # refuses a non-finite one
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,4,1", "--max-epochs", "2",
+                 "--alpha", alpha, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("patience", ["0", "-3"])
+def test_bad_train_patience_error_exit(workspace, tmp_path, capsys, patience):
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,4,1", "--max-epochs", "2",
+                 f"--patience={patience}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "convergence patience must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "5", "-0.1"])
+def test_bad_activations_threshold_error_exit(workspace, tmp_path, capsys, threshold):
+    _, _, ckpt = workspace
+    out = tmp_path / "act.csv"
+    assert main(["activations", "--checkpoint", str(ckpt), f"--threshold={threshold}",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threshold must be a number in [0, 1]" in err
+    assert not out.exists()
+
+
+_CONFIG_LINE = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from(["cap", "threshold", "seed", " threshold ", "bogus", "", "#cap"]),
+    st.sampled_from(["=", " = ", "==", ""]),
+    st.one_of(_CELL, st.integers().map(str), _TEXT))
+_CONFIG_TEXT = st.one_of(_TEXT, st.builds(_join, st.just("\n"),
+                                          st.lists(_CONFIG_LINE, max_size=4)))
+
+
+@pytest.mark.parametrize("command", ["shift", "export", "activations"])
+@_FUZZ
+@given(text=_CONFIG_TEXT)
+def test_fuzzed_config_file_exits_cleanly(workspace, tmp_path, command, text):
+    _, _, ckpt = workspace
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    if command == "shift":
+        ens = tmp_path / "ens.csv"
+        ens.write_text("run,initial_true,final_true\n0,0.125,0.5\n1,0.25,0.75\n")
+        inputs = ["--ensemble", ens]
+    elif command == "export":
+        graph = tmp_path / "graph.txt"
+        write_graph_weights(GHZ_GRAPH, graph)
+        inputs = ["--graph", graph]
+    else:
+        inputs = ["--checkpoint", ckpt]  # the start graph comes from the config's seed
+    code, last = _run_fuzzed([command, *inputs, "--config", cfg, "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+    elif command != "export":
+        assert _non_finite_cells(out) == []
+    if code == 0 and command == "activations":
+        # a threshold in [0, 1] keeps at least the largest entry, normalized to 1
+        assert len(out.read_text().splitlines()) > 1

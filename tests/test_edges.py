@@ -5,6 +5,8 @@ import pytest
 from qgdream.edges import (
     DIRECTIONS,
     EDGE_PERMUTATIONS,
+    EDGE_TERM_KETS,
+    EDGE_TERM_PARTNERS,
     MATCH_EDGE_1,
     MATCH_EDGE_2,
     PAIRS,
@@ -58,6 +60,21 @@ def test_matching_tables_cover_all_directions():
         for ket in range(16):
             (p1, _, _), (p2, _, _) = edge_key(MATCH_EDGE_1[d, ket]), edge_key(MATCH_EDGE_2[d, ket])
             assert sorted(itertools.chain(p1, p2)) == [0, 1, 2, 3]
+
+
+def test_edge_term_tables_list_every_matching_term():
+    # each edge lies in exactly 4 of the 48 terms, and the 24 x 4 entries
+    # are those terms, each seen once from either of its two edges
+    assert EDGE_TERM_KETS.shape == EDGE_TERM_PARTNERS.shape == (24, 4)
+    from_tables = [(e, ket, partner) for e in range(24)
+                   for ket, partner in zip(EDGE_TERM_KETS[e], EDGE_TERM_PARTNERS[e])]
+    from_matchings = []
+    for d in range(3):
+        for ket in range(16):
+            e1, e2 = MATCH_EDGE_1[d, ket], MATCH_EDGE_2[d, ket]
+            from_matchings += [(e1, ket, e2), (e2, ket, e1)]
+    assert sorted(from_tables) == sorted(from_matchings)
+    assert len(set(from_tables)) == 96
 
 
 def test_edge_permutations_form_a_group():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgdream.edges import EDGE_PERMUTATIONS
 from qgdream.states import (
     GHZ_GRAPH,
     DegenerateStateError,
@@ -10,7 +11,7 @@ from qgdream.states import (
     random_graph,
 )
 
-from oracles import finite_difference
+from oracles import dense_property_gradient, finite_difference
 
 
 def rel_error(a, b):
@@ -54,3 +55,25 @@ class TestPropertyGradient:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateStateError):
             property_gradient(np.zeros(24), Property.GHZ_FIDELITY)
+
+
+@pytest.mark.parametrize("prop", list(Property))
+def test_matches_dense_jacobian_reference(prop):
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        g = random_graph(rng)
+        assert rel_error(property_gradient(g, prop), dense_property_gradient(g, prop)) < 1e-12
+
+
+@pytest.mark.parametrize("prop", list(Property))
+def test_equivariant_under_symmetry_group(prop):
+    # F(sign * g[row]) = F(g) for all 48 elements, so the gradient at the
+    # mapped graph is the mapped gradient: grad(sign * g[row]) = sign * grad(g)[row]
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        g = random_graph(rng)
+        grad = property_gradient(g, prop)
+        for row in EDGE_PERMUTATIONS:
+            for sign in (1.0, -1.0):
+                mapped = property_gradient(sign * g[row], prop)
+                assert rel_error(mapped, sign * grad[row]) < 1e-12
