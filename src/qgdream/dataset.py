@@ -55,38 +55,48 @@ class Dataset:
 def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
     """Rejection-sample n (graph, label) records with label < cap.
 
-    cap=None disables filtering (evaluation sets). Degenerate graphs are
-    always rejected. Deterministic per seed. Aborts if the sustained
-    acceptance rate drops below 0.1%.
+    cap=None disables filtering (evaluation sets); any other cap must be a
+    number in (0, 1], as every property lies in [0, 1], and applies to the
+    float32 label as stored. Degenerate graphs are always rejected.
+    Deterministic per seed, which must fit the header's u64. Aborts if the
+    sustained acceptance rate drops below 0.1%.
     """
     prop = Property(prop)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if cap is not None and not 0.0 < cap <= 1.0:
+        raise ValueError(f"cap must be None or a number in (0, 1], got {cap}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64) to fit the file header, got {seed}")
     rng = np.random.default_rng(seed)
     inputs, labels = [], []
     drawn = kept = 0
-    while sum(len(x) for x in inputs) < n:
+    while kept < n:
         w = rng.uniform(-1.0, 1.0, (chunk, 24))
         values, valid = property_value_batch(w, prop)
+        # records are stored as float32, so each chunk is cast as it comes,
+        # and the cap applies to the label as stored
+        values = values.astype(np.float32)
         mask = valid if cap is None else valid & (values < cap)
-        inputs.append(w[mask])
+        inputs.append(w[mask].astype(np.float32))
         labels.append(values[mask])
         drawn += chunk
-        kept += int(mask.sum())
+        kept += len(labels[-1])
         if drawn >= 10 * chunk and kept < 0.001 * drawn:
             raise RuntimeError(
                 f"rejection rate above 99.9% sustained ({kept}/{drawn} kept); "
                 f"cap {cap} looks unattainable for {prop.value}")
-    x = np.concatenate(inputs)[:n].astype(np.float32)
-    y = np.concatenate(labels)[:n].astype(np.float32)
-    return Dataset(prop, x, y, seed)
+    return Dataset(prop, np.concatenate(inputs)[:n], np.concatenate(labels)[:n], seed)
 
 
 def write_dataset(ds, path):
     header = _HEADER.pack(MAGIC, VERSION, PROPERTY_TAGS[ds.prop], len(ds), ds.seed)
-    records = np.hstack([ds.inputs.astype("<f4"),
-                         ds.labels.astype("<f4")[:, None]])
-    Path(path).write_bytes(header + records.tobytes())
+    records = np.empty((len(ds), 25), dtype="<f4")
+    records[:, :24] = ds.inputs
+    records[:, 24] = ds.labels
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(memoryview(records))
 
 
 def read_dataset(path):

@@ -5,6 +5,15 @@ the length-16 real amplitude vector over the 4-qubit computational basis,
 ket m0 m1 m2 m3 read as a 4-bit integer with m0 most significant. Each
 ket amplitude is the sum over the three perfect-matching directions of
 the product of the two mode-consistent edge weights.
+
+Reduced purities read the state as a matrix across a bipartition A | B:
+row i spells A's qubit bits, column j B's. The cut-index table CUT_KETS
+holds, for each of the 7 bipartitions, the (2^|A|, 2^|B|) matrix of ket
+indices of those entries, so state[CUT_KETS[A]] is that matrix and
+tr(rho_A^2) = sum((M M^T)^2). The batched mean purity gathers rows of the
+(16, n) transposed states through it, the purity gradient scatters
+4 M M^T M back through it with bincount, and reduced_purity builds the same
+kind of matrix for any other subset.
 """
 
 from __future__ import annotations
@@ -53,14 +62,29 @@ _TARGETS = {Property.GHZ_FIDELITY: GHZ_STATE, Property.W_FIDELITY: W_STATE}
 BIPARTITIONS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 
 
-def _axes(subset):
-    """(perm, inverse): qubit axes that put `subset` first, and the way back."""
-    perm = tuple(subset) + tuple(q for q in range(4) if q not in subset)
-    return perm, tuple(int(q) for q in np.argsort(perm))
+def _cut_kets(subset):
+    """(2^|A|, 2^|B|) ket indices of the amplitude matrix of the cut A | B.
+
+    A is `subset` and B its complement in increasing order. Row i spells the
+    bits of A's qubits in the given order, column j those of B, most
+    significant first, so state[_cut_kets(A)] is the state as a matrix.
+    """
+    order = tuple(subset) + tuple(q for q in range(4) if q not in subset)
+    if sorted(order) != list(range(4)):
+        raise ValueError(f"a subset of the qubits 0..3 is expected, got {tuple(subset)}")
+    kets = np.arange(N_KETS).reshape((2,) * 4).transpose(order)
+    return kets.reshape(2 ** len(subset), -1)
 
 
-#: _axes of every bipartition, computed once.
-_BIPARTITION_AXES = {subset: _axes(subset) for subset in BIPARTITIONS}
+#: The cut-index table (see the module docstring), built once.
+CUT_KETS = {subset: _cut_kets(subset) for subset in BIPARTITIONS}
+
+#: CUT_KETS stacked by shape: (4, 2, 8) for the single qubits, (3, 4, 4) for
+#: the pairs. _CUT_STACKS_FLAT ravels both, cuts in BIPARTITIONS order.
+_CUT_STACKS = tuple(
+    np.stack([kets for kets in CUT_KETS.values() if kets.shape == shape])
+    for shape in ((2, 8), (4, 4)))
+_CUT_STACKS_FLAT = np.concatenate([stack.ravel() for stack in _CUT_STACKS])
 
 #: Canonical GHZ graph: H matching of |0000> plus D matching of |1111>.
 GHZ_GRAPH = np.zeros(N_EDGES)
@@ -106,17 +130,11 @@ def fidelity(graph, target):
     return float(np.dot(s, target) ** 2)
 
 
-def _bipartition_matrix(state, subset):
-    """Amplitudes reshaped to (2^|subset|, 2^|complement|)."""
-    perm, _ = _BIPARTITION_AXES.get(subset) or _axes(subset)
-    s = np.asarray(state).reshape(2, 2, 2, 2)
-    return np.transpose(s, perm).reshape(2 ** len(subset), -1)
-
-
 def reduced_purity(state, subset):
     """tr(rho_M^2) of the reduction onto the qubits in `subset`."""
     s = _check_normalized(state)
-    m = _bipartition_matrix(s, tuple(subset))
+    subset = tuple(subset)
+    m = s[CUT_KETS[subset] if subset in CUT_KETS else _cut_kets(subset)]
     return float(np.sum((m @ m.T) ** 2))
 
 
@@ -160,13 +178,18 @@ def property_value_batch(weights, prop):
     if prop in _TARGETS:
         values = (states @ _TARGETS[prop]) ** 2 / safe
     else:
-        normed = states / np.sqrt(safe)[:, None]
+        # states.T is (16, n), one row per ket, so CUT_KETS gathers rows
+        cols = states.T / np.sqrt(safe)
         acc = np.zeros(len(w))
-        for subset, (perm, _) in _BIPARTITION_AXES.items():
-            m = np.transpose(normed.reshape(-1, 2, 2, 2, 2), (0, *(q + 1 for q in perm)))
-            m = m.reshape(len(w), 2 ** len(subset), -1)
-            rho = np.einsum("nij,nkj->nik", m, m)
-            acc += np.einsum("nik,nik->n", rho, rho)
+        for kets in CUT_KETS.values():
+            m = cols[kets]  # (2^|A|, 2^|B|, n)
+            for i in range(len(m)):
+                for k in range(i, len(m)):
+                    gram = (m[i] * m[k]).sum(0)  # (M M^T)[i, k] of every state
+                    gram *= gram
+                    acc += gram
+                    if k > i:
+                        acc += gram  # the mirror entry (k, i)
         values = acc / len(BIPARTITIONS)
     return np.where(valid, values, 0.0), valid
 
@@ -186,11 +209,11 @@ def property_gradient(graph, prop):
     else:
         norm = np.sqrt(norm2)
         s_hat = s / norm
-        g_hat = np.zeros(N_KETS)
-        for subset, (_, inv) in _BIPARTITION_AXES.items():
-            m = _bipartition_matrix(s_hat, subset)
-            dm = 4.0 * (m @ m.T @ m)  # d tr((MM^T)^2) / dM
-            g_hat += np.transpose(dm.reshape((2,) * 4), inv).reshape(N_KETS)
+        # d tr((M M^T)^2) / dM = 4 M M^T M for every cut, scattered back to
+        # the kets through the cut-index table
+        dm = [4.0 * (m @ m.transpose(0, 2, 1) @ m) for m in map(s_hat.take, _CUT_STACKS)]
+        g_hat = np.bincount(_CUT_STACKS_FLAT, np.concatenate([d.ravel() for d in dm]),
+                            minlength=N_KETS)
         g_hat /= len(BIPARTITIONS)
         # chain through normalization: s_hat = s / |s|
         grad_s = (g_hat - np.dot(g_hat, s_hat) * s_hat) / norm

@@ -6,12 +6,18 @@ dense 16x16 density matrix with an explicit partial trace, the property
 gradient through the dense (16, 24) state jacobian, backprop
 allocates a fresh array for every intermediate instead of working in place,
 and a neuron is isolated by building a separate net whose output it is,
-instead of by the package's (layer, neuron) selection.
+instead of by the package's (layer, neuron) selection. The batch state
+kernel gathers with fancy indexing and the dataset writer stacks and
+copies its records, as the package's first versions of both did.
 """
+
+from pathlib import Path
 
 import numpy as np
 
+from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
 from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
+from qgdream.edges import MATCH_EDGE_1 as _E1, MATCH_EDGE_2 as _E2  # (3, 16) each
 from qgdream.nn import Mlp
 from qgdream.states import (
     BIPARTITIONS,
@@ -47,6 +53,20 @@ def brute_force_state(weights):
                 prod *= weight[(a, b, bits[a], bits[b])]
             amps[ket] += prod
     return amps
+
+
+def build_state_batch(weights):
+    """Unnormalized amplitudes (n, 16) from edge weights (n, 24)."""
+    w = np.asarray(weights, dtype=np.float64)
+    # (n, 3, 16) matching contributions summed over directions
+    return np.einsum("ndk->nk", w[:, _E1] * w[:, _E2])
+
+
+def write_dataset(ds, path):
+    header = _HEADER.pack(MAGIC, VERSION, PROPERTY_TAGS[ds.prop], len(ds), ds.seed)
+    records = np.hstack([ds.inputs.astype("<f4"),
+                         ds.labels.astype("<f4")[:, None]])
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def dense_reduced_purity(state, keep):

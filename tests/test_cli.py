@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qgdream.cli import main
 from qgdream.checkpoint import load_checkpoint, save_checkpoint
-from qgdream.dataset import read_dataset
+from qgdream.dataset import generate_dataset, read_dataset
 from qgdream.dreaming import DreamEnsembleResult
 from qgdream.manifest import parse_config
 from qgdream.nn import init_mlp
@@ -384,6 +384,34 @@ def test_bad_shift_cap_error_exit(tmp_path, capsys, cap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "-1", "0", "1.5"])
+def test_bad_gen_cap_error_exit(tmp_path, capsys, cap):
+    # nan, -1 and 0 used to draw 200,000 graphs before giving up; inf and
+    # 1.5 used to keep every record
+    out = tmp_path / "x.qgdd"
+    assert main(["gen", "--n", "10", f"--cap={cap}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"cap must be None or a number in (0, 1], got {float(cap)}" in err
+    assert not out.exists()
+
+
+def test_gen_cap_none_keeps_every_valid_record(tmp_path):
+    out = tmp_path / "x.qgdd"
+    assert main(["gen", "--n", "200", "--cap", "none", "--seed", "2", "--out", str(out)]) == 0
+    expected = generate_dataset("ghz_fidelity", 200, cap=None, seed=2)
+    assert np.array_equal(read_dataset(out).labels, expected.labels)
+
+
+def test_gen_seed_beyond_header_error_exit(tmp_path, capsys):
+    # the header stores the seed as u64; 2**64 used to end in a struct.error
+    # traceback after generating
+    out = tmp_path / "x.qgdd"
+    assert main(["gen", "--n", "10", "--seed", str(2 ** 64), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be in [0, 2**64)")
+    assert not out.exists()
+
+
 def _mutated(data, cut, edits):
     """data cut to its first `cut` bytes, then each (position, byte) edit applied."""
     data = bytearray(data[:cut])
@@ -514,3 +542,46 @@ def test_fuzzed_config_file_exits_cleanly(workspace, tmp_path, command, text):
     if code == 0 and command == "activations":
         # a threshold in [0, 1] keeps at least the largest entry, normalized to 1
         assert len(out.read_text().splitlines()) > 1
+
+
+_PROPS = [p.value for p in Property]
+
+
+def _config_line(key, values):
+    return st.builds(lambda sep, value: f"{key}{sep}{value}", st.sampled_from(["=", " = "]),
+                     values)
+
+
+# mostly well-formed lines, so that about half the examples generate
+_GEN_LINE = st.one_of(
+    _config_line("prop", st.sampled_from(_PROPS + ["", "GHZ", "1"])),
+    _config_line("cap", st.one_of(st.sampled_from(["none", "None", "1"]), _CELL)),
+    _config_line("seed", st.one_of(st.integers(-3, 2 ** 65).map(str),
+                                   st.sampled_from(["", "1.5", "nan"]))),
+    st.sampled_from(["bogus=1", "cap==0.5", "n 5", "#n=9000", " cap = 0.25", ""]))
+# every example carries one n line of at most 500 records, so it runs in
+# milliseconds; the other lines go around it
+_GEN_CONFIG_TEXT = st.builds(
+    lambda lines, n_line, at: "\n".join(lines[:at] + [n_line] + lines[at:]),
+    st.lists(_GEN_LINE, max_size=4), _config_line("n", st.integers(-2, 500).map(str)),
+    st.integers(0, 4))
+
+
+@_FUZZ
+@given(text=_GEN_CONFIG_TEXT)
+def test_fuzzed_gen_config_exits_cleanly(tmp_path, text):
+    cfg, out = tmp_path / "gen.cfg", tmp_path / "out.qgdd"
+    cfg.write_text(text)
+    out.unlink(missing_ok=True)
+    code, last = _run_fuzzed(["gen", "--config", cfg, "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+        assert not out.exists()
+        return
+    resolved = parse_config(f"{out}.manifest")
+    ds = read_dataset(out)
+    assert len(ds) == int(resolved["config.n"])
+    assert ds.prop is Property(resolved["config.prop"])
+    if resolved["config.cap"].lower() != "none":
+        assert np.all(ds.labels < float(resolved["config.cap"]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgdream import dataset
 from qgdream.dataset import (
     Dataset,
     DatasetReadError,
@@ -10,6 +11,8 @@ from qgdream.dataset import (
     write_dataset,
 )
 from qgdream.states import Property, property_value
+
+import oracles
 
 
 class TestGenerate:
@@ -41,8 +44,23 @@ class TestGenerate:
             generate_dataset("ghz_fidelity", 0, seed=0)
 
     def test_hopeless_cap_aborts(self):
+        # mean purity is at least (4 * 1/2 + 3 * 1/4) / 7 > 0.39 for any state
         with pytest.raises(RuntimeError, match="rejection"):
-            generate_dataset("ghz_fidelity", 10, cap=-1.0, seed=0, chunk=1000)
+            generate_dataset("mean_purity", 10, cap=0.3, seed=0, chunk=1000)
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0, 0.0, 1.5])
+    def test_cap_outside_unit_interval_rejected_before_drawing(self, monkeypatch, cap):
+        def labels_drawn(*args):
+            raise AssertionError("graphs drawn for a cap that no label can meet")
+
+        monkeypatch.setattr(dataset, "property_value_batch", labels_drawn)
+        rule = rf"cap must be None or a number in \(0, 1\], got {cap}"
+        with pytest.raises(ValueError, match=rule):
+            generate_dataset("ghz_fidelity", 10, cap=cap, seed=0)
+
+    def test_cap_one_keeps_every_valid_record(self):
+        ds = generate_dataset("w_fidelity", 300, cap=1.0, seed=8)
+        assert len(ds) == 300 and ds.inputs.dtype == ds.labels.dtype == np.float32
 
 
 class TestRoundTrip:
@@ -55,6 +73,14 @@ class TestRoundTrip:
         assert back.seed == 3
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("prop", list(Property))
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_bytes_equal_to_stacking_reference(self, tmp_path, prop, n):
+        ds = generate_dataset(prop, n, cap=0.5, seed=10 + n)
+        write_dataset(ds, tmp_path / "new.qgdd")
+        oracles.write_dataset(ds, tmp_path / "ref.qgdd")
+        assert (tmp_path / "new.qgdd").read_bytes() == (tmp_path / "ref.qgdd").read_bytes()
 
     def test_truncated_file(self, tmp_path):
         ds = generate_dataset("ghz_fidelity", 100, cap=0.5, seed=4)

@@ -3,9 +3,10 @@
 import numpy as np
 
 from qgdream import kernels
-from qgdream.edges import EDGE_TERM_KETS, EDGE_TERM_PARTNERS
+from qgdream.edges import EDGE_TERM_KETS, EDGE_TERM_PARTNERS, MATCH_EDGE_1, MATCH_EDGE_2
 from qgdream.states import random_graph
 
+import oracles
 from oracles import accumulated_state_jacobian
 
 
@@ -36,3 +37,15 @@ def test_jacobian_matches_finite_differences():
         fd = (kernels.build_state_batch((g + d)[None])[0]
               - kernels.build_state_batch((g - d)[None])[0]) / (2 * h)
         assert np.max(np.abs(jac[:, e] - fd)) < 1e-8
+
+
+def test_batch_kernels_bit_equal_to_fancy_index_reference():
+    # take-gathered terms summed by the same einsum: every bit as before,
+    # whatever the batch size
+    w = np.random.default_rng(5).uniform(-1.0, 1.0, (20_000, 24))
+    for n in (1, 7, 20_000):
+        states = kernels.build_state_batch(w[:n])
+        assert states.shape == (n, 16)
+        assert np.array_equal(states, oracles.build_state_batch(w[:n]))
+        terms = w[:n, MATCH_EDGE_1] * w[:n, MATCH_EDGE_2]
+        assert np.array_equal(kernels.pm_probability_batch(w[:n]), terms ** 2)

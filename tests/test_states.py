@@ -168,6 +168,22 @@ class TestPurity:
                 assert reduced_purity(s, b) == pytest.approx(
                     dense_reduced_purity(s, b), abs=1e-12)
 
+    def test_any_subset_matches_dense_oracle(self):
+        # complements, three-qubit sides and unsorted orders are not in the
+        # table, so they build their cut on the fly
+        rng = np.random.default_rng(17)
+        subsets = [(1, 2, 3), (2, 3), (3, 0), (2, 1), (3, 1, 0), (1, 0, 2, 3)]
+        for _ in range(50):
+            s = normalize_state(build_state(random_graph(rng)))
+            for b in subsets:
+                assert reduced_purity(s, b) == pytest.approx(
+                    dense_reduced_purity(s, b), abs=1e-12)
+
+    @pytest.mark.parametrize("subset", [(0, 0), (4,), (-1, 2)])
+    def test_rejects_bad_subset(self, subset):
+        with pytest.raises(ValueError, match="subset of the qubits"):
+            reduced_purity(GHZ_STATE, subset)
+
     def test_rejects_unnormalized(self):
         s = np.zeros(16)
         s[0] = 2.0
@@ -232,6 +248,17 @@ class TestPropertyValue:
             assert valid.all()
             for g, v in zip(graphs, values):
                 assert v == pytest.approx(property_value(g, prop), abs=1e-12)
+
+    def test_batch_mean_purity_matches_dense_oracle(self):
+        rng = np.random.default_rng(18)
+        graphs = rng.uniform(-1.0, 1.0, (300, 24))
+        values, valid = property_value_batch(graphs, Property.MEAN_PURITY)
+        assert valid.all()
+        for g, v in zip(graphs, values):
+            s = brute_force_state(g)
+            s = s / np.linalg.norm(s)
+            expected = np.mean([dense_reduced_purity(s, b) for b in BIPARTITIONS])
+            assert abs(v - expected) < 1e-12
 
     @pytest.mark.parametrize("prop", list(Property))
     def test_batch_invariant_under_symmetry_group(self, prop):
