@@ -27,9 +27,9 @@ def _parse_layers(text):
 
 
 def _parse_bool(text):
-    if str(text).lower() in ("1", "true", "yes", "on"):
+    if text.lower() in ("1", "true", "yes", "on"):
         return True
-    if str(text).lower() in ("0", "false", "no", "off"):
+    if text.lower() in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
 
@@ -39,7 +39,15 @@ def _add_common(parser):
     parser.add_argument("--out", required=True, help="primary output path")
 
 
+def _add_ascent(parser):
+    """The ascent options that dream, dream-neuron and entropy share."""
+    parser.add_argument("--steps", type=int, default=dreaming.DreamConfig.steps)
+    parser.add_argument("--lr", type=float, default=dreaming.DreamConfig.lr)
+    parser.add_argument("--seed", type=int, default=dreaming.DreamConfig.seed)
+
+
 def build_parser():
+    """The qgdream parser. Each option that has a default is also a config key."""
     parser = argparse.ArgumentParser(
         prog="qgdream",
         description="Quantum graph deep dreaming: data generation, training, "
@@ -48,35 +56,38 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a labeled graph dataset")
     _add_common(p)
-    p.add_argument("--property", dest="prop")
-    p.add_argument("--n", type=int)
-    p.add_argument("--cap", help="label cap (float) or 'none'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--property", dest="prop", default="ghz_fidelity")
+    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--cap", default="0.5", help="label cap (float) or 'none'")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train a network on a dataset file")
     _add_common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--layers", help="comma-separated layer sizes, e.g. 24,128,128,128,1")
-    p.add_argument("--activation", choices=["relu", "elu"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--layers", default="24,128,128,128,1",
+                   help="comma-separated layer sizes, e.g. 24,128,128,128,1")
+    p.add_argument("--activation", choices=["relu", "elu"], default="relu")
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--batch-size", type=int, dest="batch_size",
+                   default=nn.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=nn.TrainConfig.lr_init)
+    p.add_argument("--max-epochs", type=int, dest="max_epochs",
+                   default=nn.TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=nn.TrainConfig.convergence_patience)
+    p.add_argument("--seed", type=int, default=nn.TrainConfig.seed)
     p.add_argument("--history", help="training-curve CSV path (default <out>.history.csv)")
 
     p = sub.add_parser("dream", help="inverse-train input graphs on a checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--property", dest="prop")
-    p.add_argument("--runs", type=int, help="1 = trajectory export, >1 = ensemble table")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--clamp")
-    p.add_argument("--adam", dest="use_adam")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--property", dest="prop", default="ghz_fidelity")
+    p.add_argument("--runs", type=int, default=1,
+                   help="1 = trajectory export, >1 = ensemble table")
+    _add_ascent(p)
+    p.add_argument("--stride", type=int, default=dreaming.DreamConfig.snapshot_stride)
+    p.add_argument("--clamp", type=_parse_bool, default=dreaming.DreamConfig.clamp)
+    p.add_argument("--adam", type=_parse_bool, dest="use_adam",
+                   default=dreaming.DreamConfig.use_adam)
     p.add_argument("--graph", help="start graph file (single-run only; default random)")
 
     p = sub.add_parser("dream-neuron", help="dream on one hidden neuron from many starts")
@@ -84,87 +95,71 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--neuron", type=int, required=True)
-    p.add_argument("--inits", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--inits", type=int, default=20)
+    _add_ascent(p)
 
     p = sub.add_parser("entropy", help="per-neuron/per-layer entropy profile")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--inits", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--inits", type=int, default=20)
+    _add_ascent(p)
 
     p = sub.add_parser("activations", help="weighted-activation map for one input graph")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", help="input graph file (default: random from --seed)")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("shift", help="distribution-shift report from an ensemble table")
     _add_common(p)
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--cap", type=float)
+    p.add_argument("--cap", type=float, default=0.5)
 
     p = sub.add_parser("export", help="DOT export of a graph file")
     _add_common(p)
     p.add_argument("--graph", required=True)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=float, default=0.4)
 
-    return parser
+    return parser, sub.choices
 
 
-def _resolve(args, defaults):
-    """Defaults < config file < explicit flags; returns a plain dict."""
-    resolved = dict(defaults)
+def _resolve(parser, commands, argv):
+    """Defaults < config file < explicit flags; returns (args, config dict).
+
+    A config file sets its command's option defaults, each value converted
+    by the option's own type, and argv is parsed again, so explicit flags
+    win. The config dict holds every option that has a default.
+    """
+    args = parser.parse_args(argv)
+    command = commands[args.command]
+    options = {a.dest: a for a in command._actions
+               if a.default not in (None, argparse.SUPPRESS)}
     if args.config:
         file_values = parse_config(args.config)
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, raw in file_values.items():
-            default = defaults[key]
-            if isinstance(default, bool):
-                resolved[key] = _parse_bool(raw)
-            elif isinstance(default, int):
-                resolved[key] = int(raw)
-            elif isinstance(default, float):
-                resolved[key] = float(raw)
-            else:
-                resolved[key] = raw
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            if isinstance(defaults[key], bool) and not isinstance(value, bool):
-                value = _parse_bool(value)
-            resolved[key] = value
-    return resolved
+        command.set_defaults(**{
+            key: options[key].type(raw) if options[key].type else raw
+            for key, raw in file_values.items()})
+        args = parser.parse_args(argv)
+    return args, {key: getattr(args, key) for key in options}
 
 
-def _dream_config(cfg):
-    return dreaming.DreamConfig(steps=cfg["steps"], lr=cfg["lr"],
-                                snapshot_stride=cfg.get("stride", 10),
-                                clamp=cfg.get("clamp", True),
-                                use_adam=cfg.get("use_adam", False),
-                                seed=cfg["seed"])
+def _dream_config(cfg, **fields):
+    """The shared ascent options plus a command's own fields; DreamConfig fills the rest."""
+    return dreaming.DreamConfig(steps=cfg["steps"], lr=cfg["lr"], seed=cfg["seed"], **fields)
 
 
-def cmd_gen(args):
-    cfg = _resolve(args, {"prop": "ghz_fidelity", "n": 10000, "cap": "0.5",
-                          "seed": 0})
-    cap = None if str(cfg["cap"]).lower() == "none" else float(cfg["cap"])
+def cmd_gen(args, cfg):
+    cap = None if cfg["cap"].lower() == "none" else float(cfg["cap"])
     ds = generate_dataset(cfg["prop"], cfg["n"], cap=cap, seed=cfg["seed"])
     write_dataset(ds, args.out)
     return cfg, [], [args.out]
 
 
-def cmd_train(args):
-    cfg = _resolve(args, {"layers": "24,128,128,128,1", "activation": "relu",
-                          "alpha": 1.0, "batch_size": 5000, "lr": 1e-3,
-                          "max_epochs": 5000, "patience": 400, "seed": 0})
+def cmd_train(args, cfg):
     ds = read_dataset(args.dataset)
     train_cfg = nn.TrainConfig(batch_size=cfg["batch_size"], lr_init=cfg["lr"],
                                max_epochs=cfg["max_epochs"],
@@ -181,14 +176,12 @@ def cmd_train(args):
     return cfg, [args.dataset], [args.out, history_path]
 
 
-def cmd_dream(args):
-    cfg = _resolve(args, {"prop": "ghz_fidelity", "runs": 1, "steps": 2000,
-                          "lr": 1e-4, "stride": 10, "clamp": True,
-                          "use_adam": False, "seed": 0})
+def cmd_dream(args, cfg):
     if args.graph and cfg["runs"] != 1:
         raise ValueError(f"--graph sets the start of a single run; got --runs {cfg['runs']}")
     model = load_checkpoint(args.checkpoint)
-    dcfg = _dream_config(cfg)
+    dcfg = _dream_config(cfg, snapshot_stride=cfg["stride"], clamp=cfg["clamp"],
+                         use_adam=cfg["use_adam"])
     inputs = [args.checkpoint]
     if cfg["runs"] == 1:
         if args.graph:
@@ -209,8 +202,7 @@ def cmd_dream(args):
     return cfg, inputs, [args.out]
 
 
-def cmd_dream_neuron(args):
-    cfg = _resolve(args, {"inits": 20, "steps": 2000, "lr": 1e-4, "seed": 0})
+def cmd_dream_neuron(args, cfg):
     model = load_checkpoint(args.checkpoint)
     results = dreaming.dream_neuron(model, (args.layer, args.neuron), cfg["inits"],
                                     _dream_config(cfg))
@@ -218,8 +210,7 @@ def cmd_dream_neuron(args):
     return dict(cfg, layer=args.layer, neuron=args.neuron), [args.checkpoint], [args.out]
 
 
-def cmd_entropy(args):
-    cfg = _resolve(args, {"inits": 20, "steps": 2000, "lr": 1e-4, "seed": 0})
+def cmd_entropy(args, cfg):
     model = load_checkpoint(args.checkpoint)
     profile = analysis.entropy_profile(model, cfg["inits"], _dream_config(cfg))
     tables.write_entropy_profile(profile, args.out)
@@ -228,8 +219,7 @@ def cmd_entropy(args):
     return cfg, [args.checkpoint], [args.out]
 
 
-def cmd_activations(args):
-    cfg = _resolve(args, {"threshold": 0.05, "seed": 0})
+def cmd_activations(args, cfg):
     model = load_checkpoint(args.checkpoint)
     inputs = [args.checkpoint]
     if args.graph:
@@ -242,8 +232,7 @@ def cmd_activations(args):
     return cfg, inputs, [args.out]
 
 
-def cmd_shift(args):
-    cfg = _resolve(args, {"cap": 0.5})
+def cmd_shift(args, cfg):
     if not 0.0 <= cfg["cap"] <= 1.0:
         raise ValueError(f"--cap must be a number in [0, 1], got {cfg['cap']}")
     initial, final = tables.read_ensemble(args.ensemble)
@@ -254,8 +243,7 @@ def cmd_shift(args):
     return cfg, [args.ensemble], [args.out]
 
 
-def cmd_export(args):
-    cfg = _resolve(args, {"threshold": 0.4})
+def cmd_export(args, cfg):
     weights = tables.read_graph_weights(args.graph)
     with open(args.out, "w") as f:
         f.write(export_dot(weights, cfg["threshold"]))
@@ -275,10 +263,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        cfg, inputs, outputs = _COMMANDS[args.command](args)
+        parser, commands = build_parser()
+        args, cfg = _resolve(parser, commands, argv)
+        cfg, inputs, outputs = _COMMANDS[args.command](args, cfg)
     except (OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

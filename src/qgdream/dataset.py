@@ -16,9 +16,9 @@ rejects a record whose weights leave [-1, 1] or whose label leaves [0, 1]
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -100,23 +100,28 @@ def write_dataset(ds, path):
 
 
 def read_dataset(path):
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise DatasetReadError(f"{path}: too short for a dataset header")
-    magic, version, tag, n, seed = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise DatasetReadError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise DatasetVersionError(
-            f"{path}: dataset version {version}, reader supports {VERSION}")
-    if tag not in _TAG_PROPERTIES:
-        raise DatasetReadError(f"{path}: unknown property tag {tag}")
-    expected = _HEADER.size + n * 25 * 4
-    if len(data) != expected:
-        raise DatasetReadError(
-            f"{path}: size {len(data)} != expected {expected} for {n} records")
-    records = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(n, 25)
-    inputs, labels = records[:, :24].copy(), records[:, 24].copy()
+    """Dataset from a file; inputs and labels are views of one (n, 25) read."""
+    with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DatasetReadError(f"{path}: too short for a dataset header")
+        magic, version, tag, n, seed = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise DatasetReadError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise DatasetVersionError(
+                f"{path}: dataset version {version}, reader supports {VERSION}")
+        if tag not in _TAG_PROPERTIES:
+            raise DatasetReadError(f"{path}: unknown property tag {tag}")
+        size = os.fstat(f.fileno()).st_size
+        expected = _HEADER.size + n * 25 * 4
+        if size != expected:
+            raise DatasetReadError(
+                f"{path}: size {size} != expected {expected} for {n} records")
+        records = np.empty((n, 25), dtype="<f4")
+        if f.readinto(records) != records.nbytes:
+            raise DatasetReadError(f"{path}: file shrank while being read")
+    inputs, labels = records[:, :24], records[:, 24]
     # min and max propagate nan, so nan fails these comparisons too
     if not (-1.0 <= inputs.min(initial=0.0) and inputs.max(initial=0.0) <= 1.0
             and 0.0 <= labels.min(initial=0.0) and labels.max(initial=0.0) <= 1.0):

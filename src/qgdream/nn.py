@@ -358,9 +358,10 @@ def _symmetry_mapped(x, idx, rng):
 def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0):
     """Mini-batch Adam training with plateau LR decay and best-MSE patience.
 
-    The inputs must be (n, 24) graphs in the canonical edge order, and the
-    labels a property that is invariant under the graphs' 48-element
-    symmetry group: the 24 vertex relabellings (edges.EDGE_PERMUTATIONS),
+    The layer sizes must run from 24 inputs to 1 output. The inputs must be
+    (n, 24) graphs in the canonical edge order, and the labels a property
+    that is invariant under the graphs' 48-element symmetry group: the 24
+    vertex relabellings (edges.EDGE_PERMUTATIONS),
     each with or without a global sign flip of the weights. Every property
     in states.py is. Before each gradient step, each training sample of the
     batch is passed through one group element drawn uniformly from the
@@ -389,6 +390,10 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         raise ValueError(f"inputs must be (n, {N_EDGES}) graphs, got shape {x.shape}")
     if len(x) != len(y):
         raise ValueError("inputs and labels misaligned")
+    sizes = list(layer_sizes)
+    if sizes[:1] != [N_EDGES] or sizes[-1:] != [1]:
+        raise ValueError(f"layer sizes must start at {N_EDGES} inputs and end at 1 output, "
+                         f"got {sizes}")
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(x))
     n_test = max(1, int(round(len(x) * cfg.test_fraction)))
@@ -400,7 +405,7 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     y_train = y[train_idx].astype(np.float32)
     x_test, y_test = x[test_idx].astype(np.float64, copy=False), y[test_idx]
 
-    model = init_mlp(layer_sizes, activation=activation, seed=cfg.seed, alpha=alpha)
+    model = init_mlp(sizes, activation=activation, seed=cfg.seed, alpha=alpha)
     params = model.weights + model.biases
     shadow = Mlp(model.layer_sizes, activation, [w.astype(np.float32) for w in model.weights],
                  [b.astype(np.float32) for b in model.biases], alpha=alpha)

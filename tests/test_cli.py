@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,3 +586,157 @@ def test_fuzzed_gen_config_exits_cleanly(tmp_path, text):
     assert ds.prop is Property(resolved["config.prop"])
     if resolved["config.cap"].lower() != "none":
         assert np.all(ds.labels < float(resolved["config.cap"]))
+
+
+@pytest.mark.parametrize("layers", ["24,4,2", "25,4,1"])
+def test_bad_train_layers_error_exit(workspace, tmp_path, capsys, layers):
+    # a net maps the 24 graph weights to one property value; these used to
+    # end in numpy's broadcast error or an input-width error mid-training
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", layers, "--max-epochs", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    sizes = layers.replace(",", ", ")
+    assert err.startswith(f"error: layer sizes must start at 24 inputs and end at 1 output, "
+                          f"got [{sizes}]")
+    assert not out.exists()
+
+
+# (inputs, configurable options, the config.* keys each manifest has always had)
+_ROUND_TRIPS = {
+    "gen": ([], ["--n", "200", "--cap", "none", "--seed", "3"], {"cap", "n", "prop", "seed"}),
+    "train": (["--dataset", "{ds}"],
+              ["--layers", "24,4,1", "--activation", "elu", "--alpha", "0.5",
+               "--batch-size", "300", "--max-epochs", "2", "--lr", "0.002"],
+              {"activation", "alpha", "batch_size", "layers", "lr", "max_epochs", "patience",
+               "seed"}),
+    "dream": (["--checkpoint", "{ckpt}"],
+              ["--property", "w_fidelity", "--runs", "3", "--steps", "6", "--lr", "0.01",
+               "--clamp", "no", "--adam", "yes"],
+              {"clamp", "lr", "prop", "runs", "seed", "steps", "stride", "use_adam"}),
+    "dream-neuron": (["--checkpoint", "{ckpt}", "--layer", "1", "--neuron", "2"],
+                     ["--inits", "2", "--steps", "5", "--lr", "0.01"],
+                     {"inits", "layer", "lr", "neuron", "seed", "steps"}),
+    "entropy": (["--checkpoint", "{ckpt}"], ["--inits", "2", "--steps", "4", "--seed", "7"],
+                {"inits", "lr", "seed", "steps"}),
+    "activations": (["--checkpoint", "{ckpt}"], ["--threshold", "0.2", "--seed", "3"],
+                    {"seed", "threshold"}),
+    "shift": (["--ensemble", "{ens}"], ["--cap", "0.25"], {"cap"}),
+    "export": (["--graph", "{graph}"], ["--threshold", "0.3"], {"threshold"}),
+}
+
+
+@pytest.mark.parametrize("command", _ROUND_TRIPS)
+def test_manifest_config_reproduces_artifacts(workspace, tmp_path, command):
+    # a manifest's config.* lines are --config input that reruns the command
+    _, ds, ckpt = workspace
+    graph, ens = tmp_path / "graph.txt", tmp_path / "ens.csv"
+    write_graph_weights(GHZ_GRAPH, graph)
+    ens.write_text("run,initial_true,final_true\n0,0.125,0.5\n1,0.25,0.75\n")
+    inputs, options, keys = _ROUND_TRIPS[command]
+    inputs = [a.format(ds=ds, ckpt=ckpt, graph=graph, ens=ens) for a in inputs]
+    out = tmp_path / "out"
+    assert main([command, *inputs, *options, "--out", str(out)]) == 0
+    first = parse_config(f"{out}.manifest")
+    config = {k.removeprefix("config."): v for k, v in first.items() if k.startswith("config.")}
+    assert set(config) == keys
+    cfg = tmp_path / "run.cfg"
+    # the neuron selection is given by flags; it is not a config key
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()
+                           if k not in ("layer", "neuron")))
+    for key in first:
+        if key.startswith("output."):
+            Path(first[key]).unlink()
+    assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 0
+    again = parse_config(f"{out}.manifest")
+    assert any(key.startswith("sha256.") for key in first)
+    for key in first:
+        if key.startswith("output."):
+            path = Path(first[key])
+            assert sha(path) == first[f"sha256.{path.name}"]
+    del first["wall_time_s"], again["wall_time_s"]
+    assert again == first
+
+
+def _sized_config(sizing, others):
+    """Config text with every sizing line and up to four other lines, in any order."""
+    return st.builds(lambda fixed, rest: list(fixed) + rest, st.tuples(*sizing),
+                     st.lists(others, max_size=4)).flatmap(st.permutations).map("\n".join)
+
+
+def _mostly(key, valid, junk=_CELL):
+    # a line holds a valid value 7 times in 8, so that about half the
+    # examples run to the end
+    return _config_line(key, st.integers(0, 7).flatmap(lambda i: valid if i else junk))
+
+
+def _small(key, top):
+    # sizes and step counts stay small, so each example runs in milliseconds
+    return _mostly(key, st.integers(1, top).map(str),
+                   st.sampled_from(["-1", "0", "", "1.5", "nan", "abc"]))
+
+
+_BOOL = st.sampled_from(["true", "False", "yes", "0", "on", "1"])
+_JUNK = st.sampled_from(["bogus=1", "lr==0.1", "seed 5", "#steps=9000", "out=y", ""])
+_ASCENT = [_mostly("lr", st.floats(1e-4, 1).map(repr)),
+           _mostly("seed", st.integers(0, 2 ** 64).map(str)), _JUNK]
+_SIZED_CONFIGS = {
+    "train": _sized_config(
+        [_small("max_epochs", 3),
+         _mostly("layers", st.sampled_from(["24,4,1", "24,3,3,1", "24,1"]),
+                 st.sampled_from(["24,4,2", "25,4,1", "24,0,1", "24", "", "24,,1"]))],
+        st.one_of(_mostly("activation", st.sampled_from(["relu", "elu"])),
+                  _mostly("alpha", st.floats(0.1, 2).map(repr)),
+                  _mostly("batch_size", st.integers(1, 64).map(str)),
+                  _mostly("lr", st.floats(1e-4, 0.1).map(repr)),
+                  _mostly("patience", st.integers(1, 5).map(str)),
+                  _mostly("seed", st.integers(0, 2 ** 64).map(str)), _JUNK)),
+    "dream": _sized_config(
+        [_small("steps", 20), _small("runs", 3)],
+        st.one_of(_mostly("prop", st.sampled_from(_PROPS)),
+                  _mostly("stride", st.integers(1, 30).map(str)),
+                  _mostly("clamp", _BOOL), _mostly("use_adam", _BOOL), *_ASCENT)),
+    "dream-neuron": _sized_config([_small("steps", 20), _small("inits", 3)],
+                                  st.one_of(*_ASCENT)),
+    "entropy": _sized_config([_small("steps", 20), _small("inits", 3)], st.one_of(*_ASCENT)),
+}
+
+
+@pytest.mark.parametrize("command", _SIZED_CONFIGS)
+@_FUZZ
+@given(data=st.data())
+def test_fuzzed_sized_config_exits_cleanly(small_files, tmp_path, command, data):
+    ds, ckpt, cfg, out = (tmp_path / name for name in ("ds.qgdd", "net.ckpt", "run.cfg", "out"))
+    ds.write_bytes(small_files[0])
+    ckpt.write_bytes(small_files[1])
+    cfg.write_text(data.draw(_SIZED_CONFIGS[command]))
+    out.unlink(missing_ok=True)
+    inputs = {"train": ["--dataset", ds], "dream-neuron": ["--checkpoint", ckpt, "--layer", "1",
+                                                           "--neuron", "0"]}
+    code, last = _run_fuzzed([command, *inputs.get(command, ["--checkpoint", ckpt]),
+                              "--config", cfg, "--out", out])
+    assert code in (0, 1)
+    if code == 1:
+        assert last.startswith("error:")
+        assert not out.exists()
+    elif command == "train":
+        load_checkpoint(out)  # refuses non-finite parameters
+        assert _non_finite_cells(f"{out}.history.csv") == []
+    else:
+        assert _non_finite_cells(out, skip=("true",)) == []
+
+
+@pytest.mark.parametrize("flag", ["--clamp", "--adam"])
+def test_bad_bool_flag_is_usage_error(workspace, tmp_path, capsys, flag):
+    # a flag's value goes through the flag's type, as --steps abc does; a
+    # config-file value goes through the same type inside main's error handling
+    _, _, ckpt = workspace
+    argv = ["dream", "--checkpoint", str(ckpt), "--steps", "3", "--out", str(tmp_path / "t.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "maybe"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text({"--clamp": "clamp", "--adam": "use_adam"}[flag] + "=maybe\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: not a boolean: 'maybe'"

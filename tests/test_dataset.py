@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,25 @@ class TestRoundTrip:
         write_dataset(ds, tmp_path / "new.qgdd")
         oracles.write_dataset(ds, tmp_path / "ref.qgdd")
         assert (tmp_path / "new.qgdd").read_bytes() == (tmp_path / "ref.qgdd").read_bytes()
+
+    def test_records_read_once(self, tmp_path):
+        # the records go straight into one array; reading the file into bytes
+        # and copying the columns out of them peaked at twice the file size
+        rng = np.random.default_rng(0)
+        ds = Dataset(Property.GHZ_FIDELITY,
+                     rng.uniform(-1, 1, (20_000, 24)).astype(np.float32),
+                     rng.uniform(0, 1, 20_000).astype(np.float32), 0)
+        path = tmp_path / "ds.qgdd"
+        write_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            back = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.labels, ds.labels)
 
     def test_truncated_file(self, tmp_path):
         ds = generate_dataset("ghz_fidelity", 100, cap=0.5, seed=4)
