@@ -69,7 +69,10 @@ def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64) to fit the file header, got {seed}")
     rng = np.random.default_rng(seed)
-    inputs, labels = [], []
+    # filled in place as chunks are accepted, so the records are held once:
+    # no list of accepted chunks to concatenate into a second copy
+    inputs = np.empty((n, 24), dtype=np.float32)
+    labels = np.empty(n, dtype=np.float32)
     drawn = kept = 0
     while kept < n:
         w = rng.uniform(-1.0, 1.0, (chunk, 24))
@@ -78,15 +81,16 @@ def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
         # and the cap applies to the label as stored
         values = values.astype(np.float32)
         mask = valid if cap is None else valid & (values < cap)
-        inputs.append(w[mask].astype(np.float32))
-        labels.append(values[mask])
+        rows = np.flatnonzero(mask)[:n - kept]
+        inputs[kept:kept + len(rows)] = w[rows]
+        labels[kept:kept + len(rows)] = values[rows]
         drawn += chunk
-        kept += len(labels[-1])
+        kept += int(np.count_nonzero(mask))
         if drawn >= 10 * chunk and kept < 0.001 * drawn:
             raise RuntimeError(
                 f"rejection rate above 99.9% sustained ({kept}/{drawn} kept); "
                 f"cap {cap} looks unattainable for {prop.value}")
-    return Dataset(prop, np.concatenate(inputs)[:n], np.concatenate(labels)[:n], seed)
+    return Dataset(prop, inputs, labels, seed)
 
 
 def write_dataset(ds, path):

@@ -41,6 +41,25 @@ class TestGenerate:
             true = property_value(ds.inputs[i].astype(np.float64), ds.prop)
             assert abs(true - float(ds.labels[i])) < 1e-9 + 1e-6 * abs(true)
 
+    def test_records_held_once(self):
+        # accepted rows go straight into the output arrays: a list of chunks
+        # concatenated at the end held every record twice (2.0x the records)
+        n = 50_000
+        tracemalloc.start()
+        try:
+            ds = generate_dataset("ghz_fidelity", n, cap=None, seed=1, chunk=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * 25 * 4
+        assert len(ds) == n and ds.inputs.flags.c_contiguous
+
+    def test_chunk_size_does_not_change_records(self):
+        # the last chunk is cut at n, so only the first n accepted rows count
+        a = generate_dataset("mean_purity", 3000, cap=0.5, seed=4, chunk=1000)
+        b = generate_dataset("mean_purity", 3000, cap=0.5, seed=4)
+        assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.labels, b.labels)
+
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_dataset("ghz_fidelity", 0, seed=0)
