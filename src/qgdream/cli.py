@@ -34,6 +34,10 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# argparse names the type function in its message: "invalid boolean value: 'maybe'"
+_parse_bool.__name__ = "boolean"
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", required=True, help="primary output path")
@@ -128,8 +132,9 @@ def _resolve(parser, commands, argv):
     """Defaults < config file < explicit flags; returns (args, config dict).
 
     A config file sets its command's option defaults, each value converted
-    by the option's own type, and argv is parsed again, so explicit flags
-    win. The config dict holds every option that has a default.
+    by the option's own type and checked against its choices, and argv is
+    parsed again, so explicit flags win. The config dict holds every option
+    that has a default.
     """
     args = parser.parse_args(argv)
     command = commands[args.command]
@@ -140,11 +145,23 @@ def _resolve(parser, commands, argv):
         unknown = set(file_values) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        command.set_defaults(**{
-            key: options[key].type(raw) if options[key].type else raw
-            for key, raw in file_values.items()})
+        command.set_defaults(**{key: _convert(options[key], raw, args.config, key)
+                                for key, raw in file_values.items()})
         args = parser.parse_args(argv)
     return args, {key: getattr(args, key) for key in options}
+
+
+def _convert(option, raw, path, key):
+    """A config value converted by its option's type and checked against its
+    choices, as argparse does a flag's; the error names file and key."""
+    try:
+        value = option.type(raw) if option.type else raw
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from exc
+    if option.choices is not None and value not in option.choices:
+        raise ValueError(f"{path}: {key}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(repr, option.choices))})")
+    return value
 
 
 def _dream_config(cfg, **fields):

@@ -11,6 +11,14 @@ every neuron x every start of a hidden layer, where row r ascends on its
 own neuron. The network side is nn.input_gradient with a per-row
 (layer, neuron) selection, which shares the prefix layers between rows.
 
+Per-dream invariants are resolved once, before the first step, so that a
+step costs about its arithmetic: _dream_rows resolves the selection
+(nn.resolve_selection: the gathered weight rows, the range checks and the
+transposes) and hands it to every gradient and snapshot call, and
+dream_oracle resolves its Property and calls states.property_gradient on
+its one row, whose state is built without the batch kernel. The clamp is
+two in-place ufuncs.
+
 Row exactness: each row's result is bit-identical to a dream of that row
 alone, whatever the batch size. The optimizer steps and the clamp act
 elementwise, and nn.input_gradient evaluates every layer as a stacked
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .nn import Adam, input_gradient, selected_output
+from .nn import Adam, input_gradient, resolve_selection, selected_output
 from .states import DegenerateStateError, Property, property_gradient, property_value, random_graph
 
 
@@ -106,12 +114,19 @@ def _true_value(weights, prop):
         return math.nan
 
 
+def _clamp(x):
+    """np.clip(x, -1, 1, out=x) as two in-place ufuncs: the same bits, signed
+    zeros and NaN included, without np.clip's Python wrappers."""
+    np.minimum(x, 1.0, out=x)
+    np.maximum(x, -1.0, out=x)
+
+
 def _ascend(gradient_fn, value_fn, x0, prop, cfg):
     """Move the (n, 24) graphs x0 together; returns one trajectory per row.
 
     gradient_fn and value_fn map the (n, 24) graphs to (n, 24) gradients
-    and (n,) values; every snapshot records each row's value and, unless
-    prop is None, its true property.
+    (or, for one row, a (24,) gradient) and (n,) values; every snapshot
+    records each row's value and, unless prop is None, its true property.
     """
     x = np.array(x0, dtype=np.float64, ndmin=2)
     trajs = [DreamTrajectory(prop) for _ in x]
@@ -123,24 +138,30 @@ def _ascend(gradient_fn, value_fn, x0, prop, cfg):
 
     snapshot(0)
     opt = Adam([x]) if cfg.use_adam else None
-    for step in range(1, cfg.steps + 1):
+    lr, stride, steps = cfg.lr, cfg.snapshot_stride, cfg.steps
+    for step in range(1, steps + 1):
         grad = gradient_fn(x)
         if opt is not None:
-            opt.step([x], [-grad], cfg.lr)  # Adam steps descend; negate for ascent
+            opt.step([x], [-grad], lr)  # Adam steps descend; negate for ascent
         else:
-            x += cfg.lr * grad
+            x += lr * grad
         if cfg.clamp:
-            np.clip(x, -1.0, 1.0, out=x)
-        if step % cfg.snapshot_stride == 0 or step == cfg.steps:
+            _clamp(x)
+        if step % stride == 0 or step == steps:
             snapshot(step)
     return trajs
 
 
 def _dream_rows(model, x0, prop, cfg, select=None):
-    """Ascent of each row of x0 on its selected neuron (see nn.input_gradient)."""
+    """Ascent of each row of x0 on its selected neuron (see nn.input_gradient).
+
+    The selection is resolved once, before the first step, for every step
+    and snapshot of the dream.
+    """
     before = model.checksum()
-    trajs = _ascend(lambda x: input_gradient(model, x, select),
-                    lambda x: selected_output(model, x, select), x0, prop, cfg)
+    sel = resolve_selection(model, select, len(np.atleast_2d(x0)))
+    trajs = _ascend(lambda x: input_gradient(model, x, sel),
+                    lambda x: selected_output(model, x, sel), x0, prop, cfg)
     assert model.checksum() == before, "model parameters changed during dreaming"
     return trajs
 
@@ -164,8 +185,8 @@ def dream_oracle(g0, prop, cfg):
     prop = Property(prop)
     # raises DegenerateStateError immediately on a degenerate start
     property_value(g0, prop)
-    return _ascend(lambda x: np.array([property_gradient(row, prop) for row in x]),
-                   lambda x: [property_value(row, prop) for row in x], g0, prop, cfg)[0]
+    return _ascend(lambda x: property_gradient(x[0], prop),
+                   lambda x: [property_value(x[0], prop)], g0, prop, cfg)[0]
 
 
 def run_seeds(seed, n):

@@ -98,8 +98,9 @@ def _activate(z, activation, alpha):
 
 
 def _activate_grad(z, activation, alpha):
+    """The derivative at z; for ReLU a bool mask, exact as a multiplier."""
     if activation == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return z > 0.0
     return np.where(z > 0.0, 1.0, float(alpha) * np.exp(z))
 
 
@@ -225,14 +226,31 @@ def _rowwise(a, w):
     return (a[:, None, :] @ w)[:, 0]
 
 
-def _selected_layers(model, select, n):
-    """Weights and biases of the sub-net each row ascends.
+@dataclass(frozen=True)
+class Selection:
+    """The sub-net that each of `rows` inputs ascends, resolved once.
+
+    weights and biases run from the first layer to the selected one. The
+    prefix layers are the model's own; the selected layer holds each row's
+    weight row as (rows, 1, in) and its bias as (rows, 1). weights_t holds
+    the transposes the forward products take (views, made once). hidden is
+    True when the selected neuron is a hidden one, differentiated after its
+    activation.
+    """
+    rows: int
+    weights: tuple
+    weights_t: tuple
+    biases: tuple
+    hidden: bool
+
+
+def resolve_selection(model, select, n):
+    """The Selection of `select` for n rows of input.
 
     select is (layer, neurons) with neurons either one index or one per
     row; None selects the full net's scalar output. Layers 1 .. n_layers - 1
-    are the hidden layers and layer n_layers the output layer. The prefix
-    layers are shared; the last entry of weights holds each row's selected
-    weight row as (n, 1, in), and of biases its bias as (n, 1).
+    are the hidden layers and layer n_layers the output layer. Raises
+    ValueError on a layer or neuron out of range.
     """
     if select is None:
         if model.layer_sizes[-1] != 1:
@@ -247,30 +265,38 @@ def _selected_layers(model, select, n):
         raise ValueError(f"neuron out of range for layer {layer}")
     weights = model.weights[:layer - 1] + [model.weights[layer - 1][neurons][:, None, :]]
     biases = model.biases[:layer - 1] + [model.biases[layer - 1][neurons][:, None]]
-    return weights, biases
+    return Selection(n, tuple(weights), tuple(np.swapaxes(w, -1, -2) for w in weights),
+                     tuple(biases), layer < model.n_layers)
 
 
-def _forward_rows(model, x, select):
+def _as_rows(model, x, select):
+    """(single, (n, d) float64 rows, their Selection); select may be resolved."""
+    x = np.asarray(x, dtype=np.float64)
+    xb = np.atleast_2d(x)
+    if xb.shape[1] != model.layer_sizes[0]:
+        raise ValueError(f"input width {xb.shape[1]} != {model.layer_sizes[0]}")
+    if not isinstance(select, Selection):
+        select = resolve_selection(model, select, len(xb))
+    elif select.rows != len(xb):
+        raise ValueError(f"selection resolved for {select.rows} rows, got {len(xb)}")
+    return x.ndim == 1, xb, select
+
+
+def _forward_rows(model, x, sel):
     """Row-exact forward pass to each row's selected neuron.
 
     Every hidden layer is activated, the selected one included; the output
     layer never is. Returns (pre-activations per layer, selected outputs
-    (n,), weights); the last pre-activation is (n, 1).
+    (n,)); the last pre-activation is (n, 1).
     """
-    if x.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input width {x.shape[1]} != {model.layer_sizes[0]}")
-    weights, biases = _selected_layers(model, select, len(x))
     pres, a = [], x
-    for layer, (w, b) in enumerate(zip(weights, biases), 1):
-        z = _rowwise(a, np.swapaxes(w, -1, -2)) + b
+    last = model.n_layers - 1
+    for layer, (w_t, b) in enumerate(zip(sel.weights_t, sel.biases)):
+        z = _rowwise(a, w_t)
+        z += b
         pres.append(z)
-        a = _activate(z, model.activation, model.alpha) if layer < model.n_layers else z
-    return pres, a[:, 0], weights
-
-
-def _as_rows(x):
-    x = np.asarray(x, dtype=np.float64)
-    return x.ndim == 1, np.atleast_2d(x)
+        a = _activate(z, model.activation, model.alpha) if layer < last else z
+    return pres, a[:, 0]
 
 
 def selected_output(model, x, select=None):
@@ -280,8 +306,8 @@ def selected_output(model, x, select=None):
     or (n,) array. Row r's value is forward()'s post-activation of its
     selected neuron, computed one row at a time.
     """
-    single, xb = _as_rows(x)
-    out = _forward_rows(model, xb, select)[1]
+    single, xb, sel = _as_rows(model, x, select)
+    out = _forward_rows(model, xb, sel)[1]
     return out[0] if single else out
 
 
@@ -292,22 +318,23 @@ def input_gradient(model, x, select=None):
     neurons) differentiates, for row r, neuron neurons[r] (or one shared
     neuron) of layer. Layer l < n_layers is the l-th hidden layer, whose
     neuron is differentiated after its activation; layer n_layers is the
-    output layer. The prefix layers run for all rows at once. Every
-    product runs one row at a time (see _rowwise), so row r's gradient is
-    bit-identical to that of a lone input, at any batch size. Parameters
-    are untouched.
+    output layer. select may also be the Selection that resolve_selection
+    made for these rows, which a caller taking many steps resolves once.
+    The prefix layers run for all rows at once. Every product runs one row
+    at a time (see _rowwise), so row r's gradient is bit-identical to that
+    of a lone input, at any batch size. Parameters are untouched.
 
     Accepts (d,) or (n, d); returns the matching shape.
     """
-    single, xb = _as_rows(x)
-    pres, _, weights = _forward_rows(model, xb, select)
+    single, xb, sel = _as_rows(model, x, select)
+    pres, _ = _forward_rows(model, xb, sel)
     delta = np.ones((len(xb), 1))
-    if len(weights) < model.n_layers:  # a hidden neuron: through its activation
-        delta = delta * _activate_grad(pres[-1], model.activation, model.alpha)
-    for layer in range(len(weights) - 1, 0, -1):
-        delta = _rowwise(delta, weights[layer]) * _activate_grad(
-            pres[layer - 1], model.activation, model.alpha)
-    grad = _rowwise(delta, weights[0])
+    if sel.hidden:  # a hidden neuron: through its activation
+        delta *= _activate_grad(pres[-1], model.activation, model.alpha)
+    for layer in range(len(sel.weights) - 1, 0, -1):
+        delta = _rowwise(delta, sel.weights[layer])
+        delta *= _activate_grad(pres[layer - 1], model.activation, model.alpha)
+    grad = _rowwise(delta, sel.weights[0])
     return grad[0] if single else grad
 
 

@@ -80,11 +80,13 @@ def _cut_kets(subset):
 CUT_KETS = {subset: _cut_kets(subset) for subset in BIPARTITIONS}
 
 #: CUT_KETS stacked by shape: (4, 2, 8) for the single qubits, (3, 4, 4) for
-#: the pairs. _CUT_STACKS_FLAT ravels both, cuts in BIPARTITIONS order.
+#: the pairs. _CUT_STACKS_FLAT ravels both, cuts in BIPARTITIONS order, so
+#: its first _CUT_SPLIT entries are the single-qubit stack.
 _CUT_STACKS = tuple(
     np.stack([kets for kets in CUT_KETS.values() if kets.shape == shape])
     for shape in ((2, 8), (4, 4)))
 _CUT_STACKS_FLAT = np.concatenate([stack.ravel() for stack in _CUT_STACKS])
+_CUT_SPLIT = _CUT_STACKS[0].size
 
 #: Canonical GHZ graph: H matching of |0000> plus D matching of |1111>.
 GHZ_GRAPH = np.zeros(N_EDGES)
@@ -100,12 +102,16 @@ def random_graph(seed_or_rng):
     return np.random.default_rng(seed_or_rng).uniform(-1.0, 1.0, N_EDGES)
 
 
-def build_state(graph):
-    """Unnormalized state amplitudes, length 16."""
+def _graph(graph):
     w = np.asarray(graph, dtype=np.float64)
     if w.shape != (N_EDGES,):
         raise ValueError(f"expected {N_EDGES} edge weights, got shape {w.shape}")
-    return kernels.build_state_batch(w[None, :])[0]
+    return w
+
+
+def build_state(graph):
+    """Unnormalized state amplitudes, length 16; bit-identical to a batch row."""
+    return kernels.build_state(_graph(graph))
 
 
 def normalize_state(state):
@@ -197,25 +203,28 @@ def property_value_batch(weights, prop):
 def property_gradient(graph, prop):
     """Exact gradient of property_value w.r.t. the 24 edge weights."""
     prop = Property(prop)
-    w = np.asarray(graph, dtype=np.float64)
-    s = build_state(w)
+    w = _graph(graph)
+    s = kernels.build_state(w)
     norm2 = float(np.dot(s, s))
     if norm2 <= EPS_NORM ** 2:
         raise DegenerateStateError("gradient undefined for a degenerate state")
-    if prop in _TARGETS:
-        target = _TARGETS[prop]
+    target = _TARGETS.get(prop)
+    if target is not None:
         overlap = float(np.dot(s, target))
         grad_s = (2.0 * overlap / norm2) * target - (2.0 * overlap ** 2 / norm2 ** 2) * s
     else:
         norm = np.sqrt(norm2)
         s_hat = s / norm
-        # d tr((M M^T)^2) / dM = 4 M M^T M for every cut, scattered back to
-        # the kets through the cut-index table
-        dm = [4.0 * (m @ m.transpose(0, 2, 1) @ m) for m in map(s_hat.take, _CUT_STACKS)]
-        g_hat = np.bincount(_CUT_STACKS_FLAT, np.concatenate([d.ravel() for d in dm]),
-                            minlength=N_KETS)
+        # d tr((M M^T)^2) / dM = 4 M M^T M for every cut, gathered through the
+        # cut-index table at once and scattered back through it
+        flat = s_hat[_CUT_STACKS_FLAT]
+        stacks = (flat[:_CUT_SPLIT].reshape(_CUT_STACKS[0].shape),
+                  flat[_CUT_SPLIT:].reshape(_CUT_STACKS[1].shape))
+        dm = np.concatenate([(m @ m.transpose(0, 2, 1) @ m).ravel() for m in stacks])
+        dm *= 4.0
+        g_hat = np.bincount(_CUT_STACKS_FLAT, dm, minlength=N_KETS)
         g_hat /= len(BIPARTITIONS)
         # chain through normalization: s_hat = s / |s|
         grad_s = (g_hat - np.dot(g_hat, s_hat) * s_hat) / norm
     # amplitude k is a sum of weight pairs, so dF/dw[e] sums e's 4 terms
-    return (grad_s.take(EDGE_TERM_KETS) * w.take(EDGE_TERM_PARTNERS)).sum(1)
+    return np.add.reduce(grad_s[EDGE_TERM_KETS] * w[EDGE_TERM_PARTNERS], axis=1)

@@ -14,6 +14,7 @@ copies its records, as the package's first versions of both did.
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
 from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
@@ -53,6 +54,12 @@ def brute_force_state(weights):
                 prod *= weight[(a, b, bits[a], bits[b])]
             amps[ket] += prod
     return amps
+
+
+#: Zero-heavy graphs: about half the weights are 0.0 or -0.0, so whole
+#: matchings vanish and the direction sums meet signed zeros.
+ZERO_HEAVY_GRAPHS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+                             min_size=24, max_size=24).map(np.array)
 
 
 def build_state_batch(weights):

@@ -736,7 +736,39 @@ def test_bad_bool_flag_is_usage_error(workspace, tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, "maybe"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument {flag}: invalid boolean value: 'maybe'")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text({"--clamp": "clamp", "--adam": "use_adam"}[flag] + "=maybe\n")
+    key = {"--clamp": "clamp", "--adam": "use_adam"}[flag]
+    cfg.write_text(f"{key}=maybe\n")
     assert main(argv + ["--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == "error: not a boolean: 'maybe'"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {cfg}: {key}: not a boolean: 'maybe'"
+
+
+def test_config_value_outside_choices_fails(workspace, tmp_path, capsys):
+    # a flag's choices bound its config key too: a net saved with activation
+    # 0.0 would be refused by load_checkpoint
+    _, ds, _ = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("layers=24,1\nmax_epochs=1\nactivation=0.0\n")
+    out = tmp_path / "net.ckpt"
+    assert main(["train", "--dataset", str(ds), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}: activation: invalid choice '0.0' (choose from 'relu', 'elu')"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dream", "dream-neuron", "entropy"])
+def test_config_value_of_wrong_type_names_file_and_key(workspace, tmp_path, capsys, command):
+    _, _, ckpt = workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr=1e-3\nsteps=abc\n")
+    neuron = ["--layer", "1", "--neuron", "0"] if command == "dream-neuron" else []
+    out = tmp_path / "out.csv"
+    assert main([command, "--checkpoint", str(ckpt), *neuron, "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: {cfg}: steps: invalid literal for int() with base 10: 'abc'"]
+    assert not out.exists()

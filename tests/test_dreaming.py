@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from qgdream import dreaming
 from qgdream.analysis import UndefinedEntropyError, entropy_profile, neuron_entropy
 from qgdream.dreaming import (
     DreamConfig,
+    _ascend,
+    _clamp,
+    _dream_rows,
     dream,
     dream_ensemble,
     dream_neuron,
     dream_oracle,
     run_seeds,
 )
-from qgdream.nn import init_mlp, input_gradient
+from qgdream.nn import init_mlp, input_gradient, selected_output
 from qgdream.states import (
     GHZ_GRAPH,
     DegenerateStateError,
@@ -217,3 +221,39 @@ class TestRowExactness:
                 except UndefinedEntropyError:
                     assert math.isnan(profile.per_neuron[(layer, neuron)])
             assert profile.per_layer[layer - 1] == float(np.mean(values))
+
+
+class TestAscentEngine:
+    def test_clamp_bit_equal_to_clip(self):
+        values = np.array([-np.inf, -3.5, -1.0 - 1e-16, -1.0, -0.5, -0.0, 0.0, 5e-324,
+                           0.5, 1.0, 1.0 + 2e-16, 7.0, np.inf, np.nan, -np.nan])
+        x = values.copy()
+        _clamp(x)
+        expected = np.clip(values, -1.0, 1.0)
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("select", ["output", "hidden", "per_row"])
+    def test_resolved_selection_equals_public_gradient_every_step(self, select):
+        m = init_mlp([24, 6, 5, 1], seed=16)
+        x0 = np.array([random_graph(seed) for seed in range(6)])
+        select = {"output": None, "hidden": (2, 3),
+                  "per_row": (1, np.repeat(np.arange(3), 2))}[select]
+        cfg = small_cfg(steps=30, lr=5e-2, snapshot_stride=7)
+        resolved = _dream_rows(m, x0, None, cfg, select=select)
+        public = _ascend(lambda x: input_gradient(m, x, select),
+                         lambda x: selected_output(m, x, select), x0, None, cfg)
+        for a, b in zip(resolved, public, strict=True):
+            assert [s.step for s in a.snapshots] == [s.step for s in b.snapshots]
+            for sa, sb in zip(a.snapshots, b.snapshots):
+                assert np.array_equal(sa.weights, sb.weights)
+                assert sa.predicted == sb.predicted
+
+    @pytest.mark.parametrize("select", [(0, 0), (4, 0), (1, 6), (1, -1), (2, [0, 5])])
+    def test_bad_selection_raises_before_first_step(self, monkeypatch, select):
+        m = init_mlp([24, 6, 5, 1], seed=17)
+        calls = []
+        monkeypatch.setattr(dreaming, "input_gradient", lambda *a: calls.append(a))
+        monkeypatch.setattr(dreaming, "selected_output", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="out of range"):
+            dream_neuron(m, select, 2, small_cfg())
+        assert calls == []

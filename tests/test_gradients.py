@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from qgdream.edges import EDGE_PERMUTATIONS
+from qgdream import kernels
+from qgdream.edges import EDGE_PERMUTATIONS, EDGE_TERM_KETS, EDGE_TERM_PARTNERS, N_KETS
 from qgdream.states import (
+    _CUT_STACKS,
+    _CUT_STACKS_FLAT,
+    BIPARTITIONS,
+    EPS_NORM,
     GHZ_GRAPH,
+    GHZ_STATE,
+    W_STATE,
     DegenerateStateError,
     Property,
     property_gradient,
@@ -11,7 +19,7 @@ from qgdream.states import (
     random_graph,
 )
 
-from oracles import dense_property_gradient, finite_difference
+from oracles import ZERO_HEAVY_GRAPHS, dense_property_gradient, finite_difference
 
 
 def rel_error(a, b):
@@ -77,3 +85,44 @@ def test_equivariant_under_symmetry_group(prop):
             for sign in (1.0, -1.0):
                 mapped = property_gradient(sign * g[row], prop)
                 assert rel_error(mapped, sign * grad[row]) < 1e-12
+
+
+def batch_state_gradient(graph, prop):
+    """property_gradient as computed on the batch kernel's state row.
+
+    The mean-purity part takes each cut stack, scales and ravels it, and
+    concatenates the list; the result gathers its edge terms with take.
+    """
+    prop = Property(prop)
+    w = np.asarray(graph, dtype=np.float64)
+    s = kernels.build_state_batch(w[None, :])[0]
+    norm2 = float(np.dot(s, s))
+    if norm2 <= EPS_NORM ** 2:
+        raise DegenerateStateError("gradient undefined for a degenerate state")
+    if prop in (Property.GHZ_FIDELITY, Property.W_FIDELITY):
+        target = GHZ_STATE if prop is Property.GHZ_FIDELITY else W_STATE
+        overlap = float(np.dot(s, target))
+        grad_s = (2.0 * overlap / norm2) * target - (2.0 * overlap ** 2 / norm2 ** 2) * s
+    else:
+        norm = np.sqrt(norm2)
+        s_hat = s / norm
+        dm = [4.0 * (m @ m.transpose(0, 2, 1) @ m) for m in map(s_hat.take, _CUT_STACKS)]
+        g_hat = np.bincount(_CUT_STACKS_FLAT, np.concatenate([d.ravel() for d in dm]),
+                            minlength=N_KETS)
+        g_hat /= len(BIPARTITIONS)
+        grad_s = (g_hat - np.dot(g_hat, s_hat) * s_hat) / norm
+    return (grad_s.take(EDGE_TERM_KETS) * w.take(EDGE_TERM_PARTNERS)).sum(1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(g=ZERO_HEAVY_GRAPHS)
+def test_gradient_bit_equal_to_batch_state_reference(g):
+    for prop in Property:
+        try:
+            expected = batch_state_gradient(g, prop)
+        except DegenerateStateError:
+            with pytest.raises(DegenerateStateError):
+                property_gradient(g, prop)
+            continue
+        got = property_gradient(g, prop)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

@@ -14,6 +14,7 @@ from qgdream.nn import (
     input_gradient,
     param_gradients,
     predict,
+    resolve_selection,
     selected_output,
     train,
 )
@@ -326,6 +327,16 @@ class TestInputGradient:
         for select in ((1, 4), (1, [0, -1]), (3, 0), (0, 0)):
             with pytest.raises(ValueError):
                 input_gradient(m, x, select=select)
+
+    @pytest.mark.parametrize("select", [None, (1, 2), (1, [0, 3, 1])])
+    def test_resolved_selection_equals_unresolved(self, select):
+        m = init_mlp([24, 4, 3, 1], activation="elu", seed=14)
+        x = np.random.default_rng(10).uniform(-1, 1, (3, 24))
+        sel = resolve_selection(m, select, 3)
+        assert np.array_equal(input_gradient(m, x, sel), input_gradient(m, x, select))
+        assert np.array_equal(selected_output(m, x, sel), selected_output(m, x, select))
+        with pytest.raises(ValueError, match="resolved for 3 rows"):
+            input_gradient(m, x[:2], sel)
 
 
 class TestAdam:
