@@ -6,8 +6,12 @@ the model's dtype. Every model the package builds, saves or dreams on is
 float64; only train's forward and backward passes run in float32, on a
 float32 shadow of float64 master weights that Adam updates.
 The batched forward and backward passes work in place: one fresh array per
-layer, which the backward pass reuses for its deltas, so a training batch
-does not churn through a dozen large temporaries.
+layer, which the backward pass reuses for its deltas (through a width-1
+layer as a broadcast product, not a matmul), so a training batch does not
+churn through a dozen large temporaries. While train runs, each role's
+parameters (float64 master, float32 shadow, gradients, Adam moments) are
+views into one flat buffer, so a batch takes one Adam pass, one gradient
+cast and one shadow refresh.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ class TrainConfig:
             raise ValueError(f"learning-rate decay must be in (0, 1], got {self.lr_decay}")
         if self.convergence_patience < 1:
             raise ValueError(f"convergence patience must be >= 1, got {self.convergence_patience}")
+        if self.plateau_window < 1:
+            raise ValueError(f"plateau window must be >= 1, got {self.plateau_window}")
+        if not 0 <= self.plateau_rel_tol < 1:
+            raise ValueError(f"plateau rel tol must be in [0, 1), got {self.plateau_rel_tol}")
+        if not 0 <= self.test_fraction < 1:  # 0 still holds out one test row
+            raise ValueError(f"test fraction must be in [0, 1), got {self.test_fraction}")
 
 
 @dataclass
@@ -208,7 +218,13 @@ def param_gradients(model, x, y, *, return_loss=False):
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
             grad = activate_grad(layer - 1)
-            delta = np.matmul(delta, model.weights[layer], out=posts[layer])
+            w = model.weights[layer]
+            # Through a width-1 layer the product's inner dimension is 1,
+            # which np.matmul runs in a scalar loop outside BLAS; the
+            # broadcast product has the same values (0 + a*b there, a*b here,
+            # so only the sign of a zero can differ).
+            product = np.multiply if len(w) == 1 else np.matmul
+            delta = product(delta, w, out=posts[layer])
             delta *= grad
     if return_loss:
         return w_grads, b_grads, loss
@@ -374,12 +390,32 @@ def _symmetry_mapped(x, idx, rng):
 
     Elements 0..23 are the vertex relabellings of edges.EDGE_PERMUTATIONS;
     elements 24..47 are the same relabellings followed by a sign flip. The
-    rows keep x's dtype.
+    rows keep x's dtype. The gather is one take from raveled x (a copy of
+    x if x is not C-contiguous) at a flat (len(idx), 24) index.
     """
     n_perms = len(EDGE_PERMUTATIONS)
     element = rng.integers(2 * n_perms, size=len(idx))
     sign = np.where(element < n_perms, 1, -1).astype(x.dtype)
-    return sign[:, None] * x[idx[:, None], EDGE_PERMUTATIONS[element % n_perms]]
+    flat = EDGE_PERMUTATIONS[element % n_perms]  # each entry's column ...
+    flat += N_EDGES * idx[:, None]  # ... plus its row's offset in raveled x
+    mapped = x.ravel().take(flat)
+    mapped *= sign[:, None]
+    return mapped
+
+
+def _layer_views(flat, sizes):
+    """(weights, biases) of a net with these layer sizes, as views of flat.
+
+    flat holds every weight matrix and then every bias vector, each
+    C-ordered, end to end; every view is C-contiguous.
+    """
+    shapes = [(n_out, n_in) for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    shapes += [(n_out,) for n_out in sizes[1:]]
+    views, end = [], 0
+    for shape in shapes:
+        start, end = end, end + int(np.prod(shape))
+        views.append(flat[start:end].reshape(shape))
+    return views[:len(sizes) - 1], views[len(sizes) - 1:]
 
 
 def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0):
@@ -407,6 +443,12 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     "Mixed Precision Training", 2018); the gradients are cast back to
     float64 for Adam. The training split is cast to float32 once, the test
     split to float64; inputs is not modified.
+
+    While it trains, the master weights, the shadow, the float64 gradients
+    and the Adam moments are each one flat buffer with every weight and
+    bias a view into it. Adam and the casts are elementwise, so one call
+    over a buffer gives the bits that one call per array gave. The
+    returned model owns a C-contiguous array per weight and bias.
     """
     cfg = config or TrainConfig()
     x = np.asarray(inputs)
@@ -433,15 +475,15 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     x_test, y_test = x[test_idx].astype(np.float64, copy=False), y[test_idx]
 
     model = init_mlp(sizes, activation=activation, seed=cfg.seed, alpha=alpha)
-    params = model.weights + model.biases
-    shadow = Mlp(model.layer_sizes, activation, [w.astype(np.float32) for w in model.weights],
-                 [b.astype(np.float32) for b in model.biases], alpha=alpha)
-    shadow_params = shadow.weights + shadow.biases
-    opt = Adam(params)
+    master = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    model.weights, model.biases = _layer_views(master, sizes)
+    shadow_flat = master.astype(np.float32)
+    shadow = Mlp(sizes, activation, *_layer_views(shadow_flat, sizes), alpha=alpha)
+    grads = np.empty_like(master)
+    opt = Adam([master])
     lr = cfg.lr_init
     history = TrainHistory()
-    best_mse = np.inf
-    best_params = None
+    best_mse, best = np.inf, None
     best_epoch = 0
     window_best = np.inf
     batch = min(cfg.batch_size, len(x_train))
@@ -454,9 +496,9 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
             xb, yb = _symmetry_mapped(x_train, idx, rng), y_train[idx]
             w_grads, b_grads, loss = param_gradients(shadow, xb, yb, return_loss=True)
             batch_losses.append(loss)
-            opt.step(params, [g.astype(np.float64) for g in w_grads + b_grads], lr)
-            for s, p in zip(shadow_params, params):
-                np.copyto(s, p)
+            np.concatenate([g.ravel() for g in w_grads + b_grads], out=grads)
+            opt.step([master], [grads], lr)
+            np.copyto(shadow_flat, master)
         train_mse = float(np.mean(batch_losses))
         test_mse = evaluate(model, x_test, y_test)
         if not np.isfinite(train_mse) or not np.isfinite(test_mse):
@@ -468,8 +510,7 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         if test_mse < best_mse:
             best_mse = test_mse
             best_epoch = epoch
-            best_params = ([w.copy() for w in model.weights],
-                           [b.copy() for b in model.biases])
+            best = master.copy()
         if epoch % cfg.plateau_window == 0:
             if best_mse > window_best * (1.0 - cfg.plateau_rel_tol):
                 lr *= cfg.lr_decay
@@ -477,7 +518,6 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         if epoch - best_epoch >= cfg.convergence_patience:
             break
 
-    if best_params is not None:
-        model.weights, model.biases = best_params
+    model.weights, model.biases = ([p.copy() for p in ps] for ps in _layer_views(best, sizes))
     return model, history
 

@@ -7,8 +7,9 @@ gradient through the dense (16, 24) state jacobian, backprop
 allocates a fresh array for every intermediate instead of working in place,
 and a neuron is isolated by building a separate net whose output it is,
 instead of by the package's (layer, neuron) selection. The batch state
-kernel gathers with fancy indexing and the dataset writer stacks and
-copies its records, as the package's first versions of both did.
+kernel and the training batches' symmetry mapping gather with 2-D fancy
+indexing and the dataset writer stacks and copies its records, as the
+package's first versions of them did.
 """
 
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
-from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
+from qgdream.edges import EDGE_PERMUTATIONS, MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
 from qgdream.edges import MATCH_EDGE_1 as _E1, MATCH_EDGE_2 as _E2  # (3, 16) each
 from qgdream.nn import Mlp
 from qgdream.states import (
@@ -74,6 +75,18 @@ def write_dataset(ds, path):
     records = np.hstack([ds.inputs.astype("<f4"),
                          ds.labels.astype("<f4")[:, None]])
     Path(path).write_bytes(header + records.tobytes())
+
+
+def reference_symmetry_mapped(x, idx, rng):
+    """Rows x[idx], each through one drawn group element, by 2-D fancy index.
+
+    Draws the elements as nn._symmetry_mapped does: 0..23 relabel the
+    vertices by edges.EDGE_PERMUTATIONS, 24..47 relabel and flip the sign.
+    """
+    n_perms = len(EDGE_PERMUTATIONS)
+    element = rng.integers(2 * n_perms, size=len(idx))
+    sign = np.where(element < n_perms, 1, -1).astype(x.dtype)
+    return sign[:, None] * x[idx[:, None], EDGE_PERMUTATIONS[element % n_perms]]
 
 
 def dense_reduced_purity(state, keep):

@@ -23,6 +23,7 @@ from oracles import (
     finite_difference,
     reference_forward,
     reference_param_gradients,
+    reference_symmetry_mapped,
     truncate_at_neuron,
 )
 
@@ -199,8 +200,6 @@ class TestReferenceBackprop:
         rng = np.random.default_rng(24)
         x = rng.uniform(-1, 1, (300, 24))
         y = rng.uniform(0, 0.5, 300)
-        cfg = TrainConfig(batch_size=64, seed=3, max_epochs=4, convergence_patience=4)
-        model, hist = train(x, y, [24, 16, 8, 1], cfg)
         seen = set()
 
         def reference_on_shadow(shadow, xb, yb, **kwargs):
@@ -208,12 +207,19 @@ class TestReferenceBackprop:
             seen.add(xb.dtype)
             return reference_param_gradients(shadow, xb, yb, **kwargs)
 
-        monkeypatch.setattr(nn, "param_gradients", reference_on_shadow)
-        ref_model, ref_hist = train(x, y, [24, 16, 8, 1], cfg)
+        # The width-1 hidden layer and the batch of one row send the backward
+        # product through its broadcast branch; the reference keeps np.matmul.
+        for sizes, batch, rows in [([24, 16, 8, 1], 64, 300), ([24, 8, 1, 1], 64, 300),
+                                   ([24, 16, 8, 1], 1, 40)]:
+            cfg = TrainConfig(batch_size=batch, seed=3, max_epochs=4, convergence_patience=4)
+            model, hist = train(x[:rows], y[:rows], sizes, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(nn, "param_gradients", reference_on_shadow)
+                ref_model, ref_hist = train(x[:rows], y[:rows], sizes, cfg)
+            assert model.checksum() == ref_model.checksum()
+            assert hist.train_mse == ref_hist.train_mse
+            assert hist.test_mse == ref_hist.test_mse
         assert seen == {np.dtype(np.float32)}
-        assert model.checksum() == ref_model.checksum()
-        assert hist.train_mse == ref_hist.train_mse
-        assert hist.test_mse == ref_hist.test_mse
 
 
 class TestMixedPrecision:
@@ -497,6 +503,36 @@ class TestTrain:
         assert valid.all()
         assert np.max(np.abs(values - y[idx])) < 1e-6
 
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mapped_batches_equal_fancy_index_reference(self, dtype, strided):
+        rng = np.random.default_rng(7)
+        records = rng.uniform(-1, 1, (400, 25)).astype(dtype)
+        records[rng.random(records.shape) < 0.1] = 0.0
+        records[rng.random(records.shape) < 0.1] = -0.0
+        # read_dataset's inputs are the [:, :24] view of its (n, 25) records
+        x = records[:, :24] if strided else np.ascontiguousarray(records[:, :24])
+        idx = rng.permutation(400)[:150]
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        mapped = nn._symmetry_mapped(x, idx, gen)
+        ref = reference_symmetry_mapped(x, idx, ref_gen)
+        assert mapped.dtype == ref.dtype == dtype and mapped.shape == ref.shape
+        assert mapped.tobytes() == ref.tobytes()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_returns_arrays_it_owns(self, tmp_path):
+        from qgdream.checkpoint import load_checkpoint, save_checkpoint
+        rng = np.random.default_rng(9)
+        x, y = rng.uniform(-1, 1, (200, 24)), rng.uniform(0, 0.5, 200)
+        model, _ = train(x, y, [24, 8, 4, 1], TrainConfig(batch_size=50, max_epochs=3))
+        params = model.weights + model.biases
+        for p in params:
+            assert p.dtype == np.float64 and p.flags.c_contiguous and p.flags.owndata
+        for i, p in enumerate(params):
+            assert not any(np.shares_memory(p, q) for q in params[i + 1:])
+        save_checkpoint(model, tmp_path / "net.ckpt")
+        assert load_checkpoint(tmp_path / "net.ckpt").checksum() == model.checksum()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 24)), np.zeros(0), [24, 4, 1], TrainConfig())
@@ -508,10 +544,19 @@ class TestTrain:
             train(x, np.zeros(1), [24, 4, 1], TrainConfig(max_epochs=1))
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -5),
-                                             ("max_epochs", 0)])
+                                             ("max_epochs", 0), ("plateau_window", 0),
+                                             ("test_fraction", float("nan")),
+                                             ("plateau_rel_tol", float("nan"))])
     def test_bad_config_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"must be >= 1, got {value}"):
+        name = field.replace("_", " ")
+        with pytest.raises(ValueError, match=re.escape(name) + f" must be .*, got {value}$"):
             TrainConfig(**{field: value})
+
+    def test_zero_test_fraction_accepted(self):
+        x = np.random.default_rng(0).uniform(-1, 1, (20, 24))
+        cfg = TrainConfig(test_fraction=0.0, batch_size=19, max_epochs=1)
+        _, hist = train(x, np.zeros(20), [24, 4, 1], cfg)
+        assert hist.epochs_run == 1 and np.isfinite(hist.test_mse[0])
 
     @pytest.mark.parametrize("field,value,message", [
         ("lr_init", 0.0, "finite and > 0"), ("lr_init", -1e-3, "finite and > 0"),
