@@ -17,6 +17,8 @@ from .nn import forward
 #: Upper entropy bound for a normalized 3x16 array: log2(48).
 MAX_ENTROPY = float(np.log2(48))
 
+SHIFT_BINS = 50  # equal-width histogram bins over [0, 1] in a shift report
+
 
 class UndefinedEntropyError(ValueError):
     """Mean PM array is all zero; its entropy is undefined."""
@@ -117,13 +119,13 @@ class ShiftReport:
     cap: float
 
 
-def shift_report(initial, final, cap=0.5, n_bins=50):
-    """Initial-vs-final distribution statistics of an ensemble's true values."""
+def shift_report(initial, final, cap=0.5):
+    """Initial-vs-final statistics of an ensemble's true values, in SHIFT_BINS bins."""
     initial = np.asarray(initial, dtype=np.float64)
     final = np.asarray(final, dtype=np.float64)
     if len(initial) == 0 or len(final) == 0:
         raise ValueError("empty ensemble")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, SHIFT_BINS + 1)
     initial_hist, _ = np.histogram(initial, bins=edges)
     final_hist, _ = np.histogram(final, bins=edges)
     return ShiftReport(

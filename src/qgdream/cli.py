@@ -26,6 +26,12 @@ def _parse_layers(text):
     return [int(s) for s in text.split(",")]
 
 
+def _layer_list(text):
+    """--layers' type: the text as it is, once it parses; config.layers stays text."""
+    _parse_layers(text)
+    return text
+
+
 def _parse_bool(text):
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -36,6 +42,7 @@ def _parse_bool(text):
 
 # argparse names the type function in its message: "invalid boolean value: 'maybe'"
 _parse_bool.__name__ = "boolean"
+_layer_list.__name__ = "layer list"
 
 
 def _add_common(parser):
@@ -68,7 +75,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a network on a dataset file")
     _add_common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--layers", default="24,128,128,128,1",
+    p.add_argument("--layers", type=_layer_list, default="24,128,128,128,1",
                    help="comma-separated layer sizes, e.g. 24,128,128,128,1")
     p.add_argument("--activation", choices=["relu", "elu"], default="relu")
     p.add_argument("--alpha", type=float, default=1.0)

@@ -137,12 +137,12 @@ def _ascend(gradient_fn, value_fn, x0, prop, cfg):
                 Snapshot(step, row.copy(), float(value), _true_value(row, prop)))
 
     snapshot(0)
-    opt = Adam([x]) if cfg.use_adam else None
+    opt = Adam(x) if cfg.use_adam else None
     lr, stride, steps = cfg.lr, cfg.snapshot_stride, cfg.steps
     for step in range(1, steps + 1):
         grad = gradient_fn(x)
         if opt is not None:
-            opt.step([x], [-grad], lr)  # Adam steps descend; negate for ascent
+            opt.step(x, -grad, lr)  # Adam steps descend; negate for ascent
         else:
             x += lr * grad
         if cfg.clamp:
@@ -202,8 +202,9 @@ def _random_starts(seed, n):
 def dream_ensemble(model, prop, n_runs, cfg):
     """n_runs independent dreams from random starts, as one batch.
 
-    Runs whose initial or final state is degenerate are recorded in
-    `failures` by run index and excluded from the aggregates.
+    Runs whose initial or final state is degenerate or not finite are
+    recorded in `failures` by run index and excluded from the aggregates.
+    Raises ValueError if every run fails.
     """
     prop = Property(prop)
     if n_runs < 1:
@@ -212,6 +213,8 @@ def dream_ensemble(model, prop, n_runs, cfg):
                         replace(cfg, snapshot_stride=cfg.steps))
     failures = [run for run, traj in enumerate(trajs)
                 if math.isnan(traj.initial.true_value) or math.isnan(traj.final.true_value)]
+    if len(failures) == n_runs:
+        raise ValueError(f"all {n_runs} runs of the ensemble failed (degenerate or non-finite)")
     kept = [traj for run, traj in enumerate(trajs) if run not in failures]
     return DreamEnsembleResult(prop, np.array([t.initial.true_value for t in kept]),
                                np.array([t.final.true_value for t in kept]),

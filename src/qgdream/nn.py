@@ -11,7 +11,8 @@ layer as a broadcast product, not a matmul), so a training batch does not
 churn through a dozen large temporaries. While train runs, each role's
 parameters (float64 master, float32 shadow, gradients, Adam moments) are
 views into one flat buffer, so a batch takes one Adam pass, one gradient
-cast and one shadow refresh.
+cast and one shadow refresh. The training protocol's fixed split, Adam
+hyperparameters and plateau schedule are the module constants below.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .edges import EDGE_PERMUTATIONS, N_EDGES
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+TEST_FRACTION = 0.05    # 95:5 train-test split, at least one test row
+LR_DECAY = 0.95         # lr *= LR_DECAY after each PLATEAU_WINDOW epochs in which
+PLATEAU_WINDOW = 25     # the best test MSE did not improve by PLATEAU_REL_TOL
+PLATEAU_REL_TOL = 1e-3  # (relative): "does not change significantly"
 
 
 @dataclass
@@ -53,11 +59,7 @@ class Mlp:
 @dataclass
 class TrainConfig:
     batch_size: int = 5000
-    test_fraction: float = 0.05   # 95:5 train-test split
     lr_init: float = 1e-3
-    lr_decay: float = 0.95
-    plateau_window: int = 25
-    plateau_rel_tol: float = 1e-3  # "does not change significantly"
     convergence_patience: int = 400
     max_epochs: int = 5000
     seed: int = 0
@@ -69,16 +71,8 @@ class TrainConfig:
             raise ValueError(f"max epochs must be >= 1, got {self.max_epochs}")
         if not (np.isfinite(self.lr_init) and self.lr_init > 0):
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr_init}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"learning-rate decay must be in (0, 1], got {self.lr_decay}")
         if self.convergence_patience < 1:
             raise ValueError(f"convergence patience must be >= 1, got {self.convergence_patience}")
-        if self.plateau_window < 1:
-            raise ValueError(f"plateau window must be >= 1, got {self.plateau_window}")
-        if not 0 <= self.plateau_rel_tol < 1:
-            raise ValueError(f"plateau rel tol must be in [0, 1), got {self.plateau_rel_tol}")
-        if not 0 <= self.test_fraction < 1:  # 0 still holds out one test row
-            raise ValueError(f"test fraction must be in [0, 1), got {self.test_fraction}")
 
 
 @dataclass
@@ -181,13 +175,14 @@ def predict(model, x):
     return _forward(model, x)[0]
 
 
-def param_gradients(model, x, y, *, return_loss=False):
-    """Gradients of the mean squared error over the batch.
+def param_gradients(model, x, y):
+    """Gradients of the mean squared error over the batch, and that error.
 
-    Returns (weight_grads, bias_grads) matching the model's parameter lists;
-    with return_loss, also the batch MSE from the same forward pass, summed
-    in float64. x and y are cast to the model's dtype, in which every
-    array is computed: a float32 model gives float32 gradients.
+    Returns (weight_grads, bias_grads, loss): the gradients match the
+    model's parameter lists, and loss is the batch MSE from the same
+    forward pass, summed in float64. x and y are cast to the model's dtype,
+    in which every array is computed: a float32 model gives float32
+    gradients.
 
     The backward pass reuses the forward pass's arrays: a ReLU layer's mask
     is taken from its post-activation (a > 0 exactly where z > 0), and each
@@ -201,7 +196,7 @@ def param_gradients(model, x, y, *, return_loss=False):
         raise ValueError("batch inputs and labels must be nonempty and aligned")
     out, pres, posts = _forward(model, x)
     n = len(y)
-    loss = float(np.mean((out - y) ** 2, dtype=np.float64)) if return_loss else None
+    loss = float(np.mean((out - y) ** 2, dtype=np.float64))
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
     relu = model.activation == "relu"
 
@@ -226,9 +221,7 @@ def param_gradients(model, x, y, *, return_loss=False):
             product = np.multiply if len(w) == 1 else np.matmul
             delta = product(delta, w, out=posts[layer])
             delta *= grad
-    if return_loss:
-        return w_grads, b_grads, loss
-    return w_grads, b_grads
+    return w_grads, b_grads, loss
 
 
 def _rowwise(a, w):
@@ -355,25 +348,23 @@ def input_gradient(model, x, select=None):
 
 
 class Adam:
-    """Bias-corrected Adam; state shapes mirror the parameter list."""
+    """Bias-corrected Adam on one array, with the ADAM_* hyperparameters."""
 
-    def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, param):
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
         self.t = 0
 
-    def step(self, params, grads, lr):
-        """Descent step in place: params <- params - lr * adam(grads)."""
+    def step(self, param, grad, lr):
+        """Descent step in place: param <- param - lr * adam(grad)."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + ADAM_EPS)
 
 
 def evaluate(model, x, y):
@@ -431,11 +422,11 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     seeded generator that orders the batches; history.train_mse is the
     loss on those mapped batches. The test split is never mapped.
 
-    Splits the data (shuffled, seeded) into train/test, decays the learning
-    rate by config.lr_decay whenever the best test MSE has not improved by
-    config.plateau_rel_tol (relative) over a plateau window, and stops once
-    no new best test MSE appears for config.convergence_patience epochs or
-    the epoch cap is hit. Returns (best model, history).
+    Splits the data (shuffled, seeded) into train/test at TEST_FRACTION,
+    decays the learning rate by LR_DECAY whenever the best test MSE has not
+    improved by PLATEAU_REL_TOL (relative) over PLATEAU_WINDOW epochs, and
+    stops once no new best test MSE appears for config.convergence_patience
+    epochs or config.max_epochs is hit. Returns (best model, history).
 
     The model, its Adam state and the test evaluation are float64. Each
     batch's forward and backward passes run in float32, on a float32 shadow
@@ -465,7 +456,7 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
                          f"got {sizes}")
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(x))
-    n_test = max(1, int(round(len(x) * cfg.test_fraction)))
+    n_test = max(1, int(round(len(x) * TEST_FRACTION)))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     if len(train_idx) == 0:
         raise ValueError(f"dataset of {len(x)} record(s) leaves no training row "
@@ -480,7 +471,7 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     shadow_flat = master.astype(np.float32)
     shadow = Mlp(sizes, activation, *_layer_views(shadow_flat, sizes), alpha=alpha)
     grads = np.empty_like(master)
-    opt = Adam([master])
+    opt = Adam(master)
     lr = cfg.lr_init
     history = TrainHistory()
     best_mse, best = np.inf, None
@@ -494,10 +485,10 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         for start in range(0, len(x_train) - batch + 1, batch):
             idx = order[start:start + batch]
             xb, yb = _symmetry_mapped(x_train, idx, rng), y_train[idx]
-            w_grads, b_grads, loss = param_gradients(shadow, xb, yb, return_loss=True)
+            w_grads, b_grads, loss = param_gradients(shadow, xb, yb)
             batch_losses.append(loss)
             np.concatenate([g.ravel() for g in w_grads + b_grads], out=grads)
-            opt.step([master], [grads], lr)
+            opt.step(master, grads, lr)
             np.copyto(shadow_flat, master)
         train_mse = float(np.mean(batch_losses))
         test_mse = evaluate(model, x_test, y_test)
@@ -511,9 +502,9 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
             best_mse = test_mse
             best_epoch = epoch
             best = master.copy()
-        if epoch % cfg.plateau_window == 0:
-            if best_mse > window_best * (1.0 - cfg.plateau_rel_tol):
-                lr *= cfg.lr_decay
+        if epoch % PLATEAU_WINDOW == 0:
+            if best_mse > window_best * (1.0 - PLATEAU_REL_TOL):
+                lr *= LR_DECAY
             window_best = best_mse
         if epoch - best_epoch >= cfg.convergence_patience:
             break

@@ -102,10 +102,12 @@ def random_graph(seed_or_rng):
     return np.random.default_rng(seed_or_rng).uniform(-1.0, 1.0, N_EDGES)
 
 
-def _graph(graph):
+def _graph(graph, batch=False):
+    """graph as float64, checked to be one (24,) graph, or (n, 24) with batch."""
     w = np.asarray(graph, dtype=np.float64)
-    if w.shape != (N_EDGES,):
-        raise ValueError(f"expected {N_EDGES} edge weights, got shape {w.shape}")
+    if w.ndim != 1 + batch or w.shape[-1] != N_EDGES:
+        rows = " per row" if batch else ""
+        raise ValueError(f"expected {N_EDGES} edge weights{rows}, got shape {w.shape}")
     return w
 
 
@@ -157,8 +159,7 @@ def concurrence(state):
 
 def pm_probability_array(graph):
     """3x16 array of squared matching weight products (rows H, V, D)."""
-    w = np.asarray(graph, dtype=np.float64)
-    return kernels.pm_probability_batch(w[None, :])[0]
+    return kernels.pm_probability_batch(_graph(graph)[None, :])[0]
 
 
 def property_value(graph, prop):
@@ -176,7 +177,7 @@ def property_value_batch(weights, prop):
     (their value entry is 0 and must be ignored).
     """
     prop = Property(prop)
-    w = np.asarray(weights, dtype=np.float64)
+    w = _graph(weights, batch=True)
     states = kernels.build_state_batch(w)
     norm2 = np.einsum("nk,nk->n", states, states)
     valid = norm2 > EPS_NORM ** 2

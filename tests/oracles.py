@@ -8,8 +8,9 @@ allocates a fresh array for every intermediate instead of working in place,
 and a neuron is isolated by building a separate net whose output it is,
 instead of by the package's (layer, neuron) selection. The batch state
 kernel and the training batches' symmetry mapping gather with 2-D fancy
-indexing and the dataset writer stacks and copies its records, as the
-package's first versions of them did.
+indexing, the dataset writer stacks and copies its records, and Adam steps
+each array of a list on its own, as the package's first versions of them
+did.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
 from qgdream.edges import EDGE_PERMUTATIONS, MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
 from qgdream.edges import MATCH_EDGE_1 as _E1, MATCH_EDGE_2 as _E2  # (3, 16) each
-from qgdream.nn import Mlp
+from qgdream.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Mlp
 from qgdream.states import (
     BIPARTITIONS,
     EPS_NORM,
@@ -219,12 +220,12 @@ def reference_forward(model, x):
     return out, posts
 
 
-def reference_param_gradients(model, x, y, *, return_loss=False):
+def reference_param_gradients(model, x, y):
     """Allocating backprop of the batch mean squared error.
 
-    Returns (weight_grads, bias_grads) matching the model's parameter lists;
-    with return_loss, also the batch MSE from the same forward pass, summed
-    in float64. Every array is in the model's dtype.
+    Returns (weight_grads, bias_grads, loss): the gradients match the
+    model's parameter lists, and loss is the batch MSE from the same forward
+    pass, summed in float64. Every array is in the model's dtype.
     """
     dtype = model.weights[0].dtype
     x = np.atleast_2d(np.asarray(x, dtype=dtype))
@@ -233,7 +234,7 @@ def reference_param_gradients(model, x, y, *, return_loss=False):
         raise ValueError("batch inputs and labels must be nonempty and aligned")
     out, pres, posts = _reference_pass(model, x)
     n = len(y)
-    loss = float(np.mean((out - y) ** 2, dtype=np.float64)) if return_loss else None
+    loss = float(np.mean((out - y) ** 2, dtype=np.float64))
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
@@ -243,9 +244,30 @@ def reference_param_gradients(model, x, y, *, return_loss=False):
         if layer > 0:
             delta = (delta @ model.weights[layer]) * _activate_grad(
                 pres[layer - 1], model.activation, model.alpha)
-    if return_loss:
-        return w_grads, b_grads, loss
-    return w_grads, b_grads
+    return w_grads, b_grads, loss
+
+
+class ReferenceAdam:
+    """Bias-corrected Adam over a list of arrays, one pass per array, as the
+    package's first optimizer stepped every weight and bias on its own."""
+
+    def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        """Descent step in place: params <- params - lr * adam(grads)."""
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def truncate_at_neuron(model, layer, neuron):

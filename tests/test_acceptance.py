@@ -124,7 +124,7 @@ def test_criterion_3_gradient_suite():
         def loss(m):
             return float(np.mean((predict(m, xb).ravel() - yb) ** 2))
 
-        grad_w, grad_b = param_gradients(model, xb, yb)
+        grad_w, grad_b, _ = param_gradients(model, xb, yb)
         h = 1e-5
         for lay in range(model.n_layers):
             for arr, grad in ((model.weights[lay], grad_w[lay]),

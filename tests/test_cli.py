@@ -111,6 +111,19 @@ def test_dream_ensemble_and_shift(workspace, tmp_path):
     assert "mean_final" in text and "fraction_above_0.5" in text
 
 
+def test_every_run_failed_error_exit(workspace, tmp_path, capsys):
+    # this used to write a header-only table and exit 0 after NaN means
+    _, _, ckpt = workspace
+    ens = tmp_path / "ens.csv"
+    with np.errstate(all="ignore"):
+        code = main(["dream", "--checkpoint", str(ckpt), "--runs", "4", "--clamp", "false",
+                     "--lr", "1e307", "--steps", "20", "--out", str(ens)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: all 4 runs of the ensemble failed")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ensemble_table_keeps_failed_run_ids(tmp_path):
     # random starts are never degenerate, so the failed run is made by hand
     result = DreamEnsembleResult(Property.GHZ_FIDELITY, np.array([0.125, 0.25]),
@@ -600,6 +613,25 @@ def test_bad_train_layers_error_exit(workspace, tmp_path, capsys, layers):
     sizes = layers.replace(",", ", ")
     assert err.startswith(f"error: layer sizes must start at 24 inputs and end at 1 output, "
                           f"got [{sizes}]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", ["24,x,1", "24,,1", ""])
+def test_malformed_layers_name_flag_and_key(workspace, tmp_path, capsys, layers):
+    # these used to print only int()'s message, naming neither the flag nor the key
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    argv = ["train", "--dataset", str(ds), "--max-epochs", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--layers", layers])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --layers: invalid layer list value: '{layers}'")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"layers={layers}\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: {cfg}: layers: invalid literal for int()")
     assert not out.exists()
 
 

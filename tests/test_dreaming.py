@@ -142,6 +142,13 @@ class TestDreamEnsemble:
         with pytest.raises(ValueError):
             dream_ensemble(m, Property.GHZ_FIDELITY, 0, small_cfg())
 
+    def test_every_run_failed_rejected(self):
+        # unclamped steps of 1e307 overflow every graph; the result used to
+        # be an empty ensemble whose means were NaN
+        m = init_mlp([24, 8, 1], seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="all 4 runs"):
+            dream_ensemble(m, Property.GHZ_FIDELITY, 4, small_cfg(lr=1e307, clamp=False))
+
 
 class TestDreamNeuron:
     def test_shape_contract(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,12 @@ class TestPmProbabilityArray:
     def test_all_ones(self):
         assert np.array_equal(pm_probability_array(np.ones(24)), np.ones((3, 16)))
 
+    @pytest.mark.parametrize("shape", [(25,), (23,), (1, 24), ()])
+    def test_wrong_shape_rejected(self, shape):
+        # a 25th weight used to be ignored, and 23 weights ended in an IndexError
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            pm_probability_array(np.ones(shape))
+
     def test_exact_squared_products(self):
         from qgdream.edges import MATCH_EDGE_1, MATCH_EDGE_2
         rng = np.random.default_rng(13)
@@ -248,6 +256,13 @@ class TestPropertyValue:
             assert valid.all()
             for g, v in zip(graphs, values):
                 assert v == pytest.approx(property_value(g, prop), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 25), (3, 23), (24,), (2, 3, 24)])
+    def test_batch_wrong_shape_rejected(self, shape):
+        # (3, 25) weights used to give 3 values from their first 24 columns
+        for prop in Property:
+            with pytest.raises(ValueError, match=re.escape(f"per row, got shape {shape}")):
+                property_value_batch(np.ones(shape), prop)
 
     def test_batch_mean_purity_matches_dense_oracle(self):
         rng = np.random.default_rng(18)
