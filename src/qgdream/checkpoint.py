@@ -58,7 +58,7 @@ def load_checkpoint(path):
         return _parse_checkpoint(Path(path).read_text().splitlines(), path)
     except CheckpointError:
         raise
-    except ValueError as exc:  # undecodable bytes, bad numbers, ragged rows
+    except ValueError as exc:  # undecodable bytes, bad numbers or sizes, ragged rows
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
 
 
@@ -87,37 +87,33 @@ def _parse_checkpoint(lines, path):
         raise CheckpointError(
             f"{path}: activate_output {header['activate_output']!r}, expected 0")
     layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
+    if min(layer_sizes) < 1:
+        raise ValueError(f"layer_sizes {header['layer_sizes']} holds a size below 1")
     weights, biases = [], []
-    try:
-        for i in range(len(layer_sizes) - 1):
-            rows, cols = map(int, lines[pos].split()[-2:])
-            pos += 1
-            w = np.array([[float(v) for v in lines[pos + r].split()]
-                          for r in range(rows)])
-            if w.shape != (rows, cols):
-                raise CheckpointError(f"{path}: layer {i} weight shape mismatch")
-            if w.shape != (layer_sizes[i + 1], layer_sizes[i]):
-                raise CheckpointError(
-                    f"{path}: layer {i} weights are {rows}x{cols}, but layer_sizes "
-                    f"give {layer_sizes[i + 1]}x{layer_sizes[i]}")
-            pos += rows
-            n = int(lines[pos].split()[-1])
-            pos += 1
-            b = np.array([float(v) for v in lines[pos].split()])
-            if len(b) != n:
-                raise CheckpointError(f"{path}: layer {i} bias length mismatch")
-            if n != layer_sizes[i + 1]:
-                raise CheckpointError(f"{path}: layer {i} has {n} biases, but "
-                                      f"layer_sizes give {layer_sizes[i + 1]}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise CheckpointError(f"{path}: layer {i} has non-finite parameters")
-            pos += 1
-            weights.append(w)
-            biases.append(b)
-    except IndexError as exc:
-        raise CheckpointError(f"{path}: truncated checkpoint") from exc
+    for i, (n_in, n_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
+        w, pos = _block(lines, pos, f"layer {i} weights {n_out} {n_in}", n_out, n_in, path)
+        b, pos = _block(lines, pos, f"layer {i} biases {n_out}", 1, n_out, path)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CheckpointError(f"{path}: layer {i} has non-finite parameters")
+        weights.append(w)
+        biases.append(b[0])
     if any(line.strip() for line in lines[pos:]):
         raise CheckpointError(f"{path}: data after the {len(weights)} layers "
                               f"that layer_sizes give")
     seed = None if header["seed"] == "none" else int(header["seed"])
     return Mlp(layer_sizes, header["activation"], weights, biases, alpha=alpha, seed=seed)
+
+
+def _block(lines, pos, title, rows, cols, path):
+    """The (rows, cols) values under the line lines[pos], which must read as
+    title, and the position after them."""
+    block = lines[pos:pos + 1 + rows]
+    if len(block) < 1 + rows:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    if block[0].split() != title.split():
+        raise CheckpointError(f"{path}: block {block[0]!r}, but layer_sizes give {title!r}")
+    values = np.array([line.split() for line in block[1:]], dtype=np.float64)
+    if values.shape[1] != cols:
+        raise CheckpointError(f"{path}: {title!r} has rows of {values.shape[1]} values, "
+                              f"but layer_sizes give {cols}")
+    return values, pos + 1 + rows

@@ -135,16 +135,20 @@ def build_parser():
     return parser, sub.choices
 
 
-def _resolve(parser, commands, argv):
+_PARSER, _SUBPARSERS = build_parser()
+
+
+def _resolve(argv):
     """Defaults < config file < explicit flags; returns (args, config dict).
 
-    A config file sets its command's option defaults, each value converted
-    by the option's own type and checked against its choices, and argv is
-    parsed again, so explicit flags win. The config dict holds every option
-    that has a default.
+    A config file's values, converted and checked as the flags would be,
+    pre-fill the namespace that the command's arguments are parsed into
+    again; argparse fills only absent names with defaults, so explicit flags
+    win. The config dict holds every option that has a default.
     """
-    args = parser.parse_args(argv)
-    command = commands[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    args = _PARSER.parse_args(argv)
+    command = _SUBPARSERS[args.command]
     options = {a.dest: a for a in command._actions
                if a.default not in (None, argparse.SUPPRESS)}
     if args.config:
@@ -152,9 +156,10 @@ def _resolve(parser, commands, argv):
         unknown = set(file_values) - set(options)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        command.set_defaults(**{key: _convert(options[key], raw, args.config, key)
-                                for key, raw in file_values.items()})
-        args = parser.parse_args(argv)
+        namespace = argparse.Namespace(command=args.command, **{
+            key: _convert(options[key], raw, args.config, key)
+            for key, raw in file_values.items()})
+        args = command.parse_args(argv[argv.index(args.command) + 1:], namespace)
     return args, {key: getattr(args, key) for key in options}
 
 
@@ -214,6 +219,8 @@ def cmd_dream(args, cfg):
         else:
             g0 = states.random_graph(cfg["seed"])
         traj = dreaming.dream(model, g0, cfg["prop"], dcfg)
+        if np.isnan([traj.initial.true_value, traj.final.true_value]).any():
+            raise ValueError("the run failed: its start or end is degenerate or non-finite")
         tables.write_trajectory(traj, args.out)
         print(f"dream: predicted {traj.initial.predicted:.4f} -> "
               f"{traj.final.predicted:.4f}, true {traj.initial.true_value:.4f} "
@@ -289,8 +296,7 @@ _COMMANDS = {
 def main(argv=None):
     start = time.perf_counter()
     try:
-        parser, commands = build_parser()
-        args, cfg = _resolve(parser, commands, argv)
+        args, cfg = _resolve(argv)
         cfg, inputs, outputs = _COMMANDS[args.command](args, cfg)
     except (OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

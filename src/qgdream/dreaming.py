@@ -4,20 +4,21 @@ The model's parameters are never modified; only the input graphs move.
 Plain fixed-learning-rate ascent is the default; Adam-style ascent is
 available behind a config flag.
 
-One engine, _ascend, moves an (n, 24) array of graphs together, and every
-caller goes through it: dream and dream_oracle with n = 1, dream_ensemble
-with all its runs, dream_neuron with all its starts, and dream_layer with
-every neuron x every start of a hidden layer, where row r ascends on its
-own neuron. The network side is nn.input_gradient with a per-row
-(layer, neuron) selection, which shares the prefix layers between rows.
+One engine, _ascend, moves an (n, 24) array of graphs together and
+returns them at its snapshot steps; each caller evaluates only what it
+reads of them. dream and dream_oracle ascend one row, dream_ensemble all
+its runs, dream_neuron all its starts, and dream_layer every neuron x
+every start of a hidden layer, where row r ascends on its own neuron. The
+network side is nn.input_gradient with a per-row (layer, neuron)
+selection, which shares the prefix layers between rows.
 
 Per-dream invariants are resolved once, before the first step, so that a
 step costs about its arithmetic: _dream_rows resolves the selection
 (nn.resolve_selection: the gathered weight rows, the range checks and the
-transposes) and hands it to every gradient and snapshot call, and
-dream_oracle resolves its Property and calls states.property_gradient on
-its one row, whose state is built without the batch kernel. The clamp is
-two in-place ufuncs.
+transposes) and hands it to every gradient call, and dream_oracle
+resolves its Property and calls states.property_gradient on its one row,
+whose state is built without the batch kernel. The clamp is two in-place
+ufuncs.
 
 Row exactness: each row's result is bit-identical to a dream of that row
 alone, whatever the batch size. The optimizer steps and the clamp act
@@ -121,49 +122,42 @@ def _clamp(x):
     np.maximum(x, -1.0, out=x)
 
 
-def _ascend(gradient_fn, value_fn, x0, prop, cfg):
-    """Move the (n, 24) graphs x0 together; returns one trajectory per row.
+def _ascend(gradient_fn, x0, cfg):
+    """Move the (n, 24) graphs x0 together; returns (steps, graphs).
 
-    gradient_fn and value_fn map the (n, 24) graphs to (n, 24) gradients
-    (or, for one row, a (24,) gradient) and (n,) values; every snapshot
-    records each row's value and, unless prop is None, its true property.
+    gradient_fn maps the (n, 24) graphs to (n, 24) gradients (or, for one
+    row, a (24,) gradient). steps are step 0, every snapshot_stride-th step
+    and the last step; graphs[k] is the (n, 24) array at steps[k].
     """
     x = np.array(x0, dtype=np.float64, ndmin=2)
-    trajs = [DreamTrajectory(prop) for _ in x]
-
-    def snapshot(step):
-        for traj, row, value in zip(trajs, x, value_fn(x)):
-            traj.snapshots.append(
-                Snapshot(step, row.copy(), float(value), _true_value(row, prop)))
-
-    snapshot(0)
+    lr, snap_steps = cfg.lr, [*range(0, cfg.steps, cfg.snapshot_stride), cfg.steps]
+    graphs = np.empty((len(snap_steps), *x.shape))
+    graphs[0] = x
     opt = Adam(x) if cfg.use_adam else None
-    lr, stride, steps = cfg.lr, cfg.snapshot_stride, cfg.steps
-    for step in range(1, steps + 1):
-        grad = gradient_fn(x)
-        if opt is not None:
-            opt.step(x, -grad, lr)  # Adam steps descend; negate for ascent
-        else:
-            x += lr * grad
-        if cfg.clamp:
-            _clamp(x)
-        if step % stride == 0 or step == steps:
-            snapshot(step)
-    return trajs
+    for k in range(1, len(snap_steps)):
+        for _ in range(snap_steps[k - 1], snap_steps[k]):
+            grad = gradient_fn(x)
+            if opt is not None:
+                opt.step(x, -grad, lr)  # Adam steps descend; negate for ascent
+            else:
+                x += lr * grad
+            if cfg.clamp:
+                _clamp(x)
+        graphs[k] = x
+    return snap_steps, graphs
 
 
-def _dream_rows(model, x0, prop, cfg, select=None):
-    """Ascent of each row of x0 on its selected neuron (see nn.input_gradient).
+def _dream_rows(model, x0, cfg, select=None):
+    """_ascend of each row of x0 on its selected neuron (see nn.input_gradient).
 
     The selection is resolved once, before the first step, for every step
-    and snapshot of the dream.
+    of the dream.
     """
     before = model.checksum()
     sel = resolve_selection(model, select, len(np.atleast_2d(x0)))
-    trajs = _ascend(lambda x: input_gradient(model, x, sel),
-                    lambda x: selected_output(model, x, sel), x0, prop, cfg)
+    frames = _ascend(lambda x: input_gradient(model, x, sel), x0, cfg)
     assert model.checksum() == before, "model parameters changed during dreaming"
-    return trajs
+    return frames
 
 
 def dream(model, g0, prop, cfg):
@@ -174,7 +168,11 @@ def dream(model, g0, prop, cfg):
     """
     if prop is not None:
         prop = Property(prop)
-    return _dream_rows(model, g0, prop, cfg)[0]
+    steps, graphs = _dream_rows(model, g0, cfg)
+    graphs = graphs[:, 0]
+    return DreamTrajectory(prop, [
+        Snapshot(step, g, float(value), _true_value(g, prop))
+        for step, g, value in zip(steps, graphs, selected_output(model, graphs))])
 
 
 def dream_oracle(g0, prop, cfg):
@@ -183,10 +181,12 @@ def dream_oracle(g0, prop, cfg):
     Validates the dreaming pipeline independently of any trained model.
     """
     prop = Property(prop)
-    # raises DegenerateStateError immediately on a degenerate start
-    property_value(g0, prop)
-    return _ascend(lambda x: property_gradient(x[0], prop),
-                   lambda x: [property_value(x[0], prop)], g0, prop, cfg)[0]
+    # raises DegenerateStateError on a degenerate start, before any step
+    values = [property_value(g0, prop)]
+    steps, graphs = _ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
+    values += [property_value(g, prop) for g in graphs[1:, 0]]
+    return DreamTrajectory(prop, [Snapshot(step, g, value, value)
+                                  for step, g, value in zip(steps, graphs[:, 0], values)])
 
 
 def run_seeds(seed, n):
@@ -209,22 +209,21 @@ def dream_ensemble(model, prop, n_runs, cfg):
     prop = Property(prop)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    trajs = _dream_rows(model, _random_starts(cfg.seed, n_runs), prop,
-                        replace(cfg, snapshot_stride=cfg.steps))
-    failures = [run for run, traj in enumerate(trajs)
-                if math.isnan(traj.initial.true_value) or math.isnan(traj.final.true_value)]
-    if len(failures) == n_runs:
+    _, graphs = _dream_rows(model, _random_starts(cfg.seed, n_runs),
+                            replace(cfg, snapshot_stride=cfg.steps))
+    initial = np.array([_true_value(g, prop) for g in graphs[0]])
+    final = np.array([_true_value(g, prop) for g in graphs[-1]])
+    failed = np.isnan(initial) | np.isnan(final)
+    if failed.all():
         raise ValueError(f"all {n_runs} runs of the ensemble failed (degenerate or non-finite)")
-    kept = [traj for run, traj in enumerate(trajs) if run not in failures]
-    return DreamEnsembleResult(prop, np.array([t.initial.true_value for t in kept]),
-                               np.array([t.final.true_value for t in kept]),
-                               np.array([t.final.weights for t in kept]), failures)
+    return DreamEnsembleResult(prop, initial[~failed], final[~failed], graphs[-1][~failed],
+                               np.flatnonzero(failed).tolist())
 
 
-def _final_pm_pairs(trajs):
-    """(final graph, 3x16 PM probability array) per trajectory."""
-    finals = np.array([traj.final.weights for traj in trajs])
-    return list(zip(finals, kernels.pm_probability_batch(finals)))
+def _final_pm_pairs(model, starts, cfg, select):
+    """Dream each row of starts on its selected neuron: (final graph, PM array) per row."""
+    _, graphs = _dream_rows(model, starts, replace(cfg, snapshot_stride=cfg.steps), select)
+    return list(zip(graphs[-1], kernels.pm_probability_batch(graphs[-1])))
 
 
 def dream_neuron(model, select, k_inits, cfg):
@@ -237,9 +236,7 @@ def dream_neuron(model, select, k_inits, cfg):
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
-    trajs = _dream_rows(model, _random_starts(cfg.seed, k_inits), None,
-                        replace(cfg, snapshot_stride=cfg.steps), select=select)
-    return _final_pm_pairs(trajs)
+    return _final_pm_pairs(model, _random_starts(cfg.seed, k_inits), cfg, select)
 
 
 def dream_layer(model, layer, k_inits, cfg):
@@ -257,7 +254,6 @@ def dream_layer(model, layer, k_inits, cfg):
     seeds = [int(np.random.SeedSequence([cfg.seed, layer, j]).generate_state(1)[0])
              for j in range(n_neurons)]
     starts = np.concatenate([_random_starts(seed, k_inits) for seed in seeds])
-    trajs = _dream_rows(model, starts, None, replace(cfg, snapshot_stride=cfg.steps),
-                        select=(layer, np.repeat(np.arange(n_neurons), k_inits)))
-    pairs = _final_pm_pairs(trajs)
+    pairs = _final_pm_pairs(model, starts, cfg,
+                            (layer, np.repeat(np.arange(n_neurons), k_inits)))
     return [pairs[j * k_inits:(j + 1) * k_inits] for j in range(n_neurons)]

@@ -103,11 +103,32 @@ def test_non_finite_alpha(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("sizes", ["24,5,1", "24,4,2", "25,4,1"])
-def test_layer_blocks_checked_against_layer_sizes(tmp_path, sizes):
+def _layer_sizes(sizes):
+    return lambda text: text.replace("layer_sizes 24,4,1", f"layer_sizes {sizes}", 1)
+
+
+def _wide_rows(first, last):
+    def corrupt(text):
+        lines = text.splitlines()
+        for r in range(first, last + 1):
+            lines[r] += " 0.5"
+        return "\n".join(lines) + "\n"
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _layer_sizes("24,5,1"),
+    _layer_sizes("24,4,2"),
+    _layer_sizes("25,4,1"),
+    # a title must read as the writer writes it, not just end in the right sizes
+    lambda text: text.replace("layer 1 weights 1 4", "layer 9 weights 1 4", 1),
+    _wide_rows(7, 10),  # every weight row of layer 0 holds 25 values
+    _wide_rows(12, 12),  # layer 0's bias row holds 5
+], ids=["24,5,1", "24,4,2", "25,4,1", "block-title", "wide-weight-rows", "wide-bias-row"])
+def test_layer_blocks_checked_against_layer_sizes(tmp_path, corrupt):
     path = tmp_path / "net.ckpt"
     save_checkpoint(init_mlp([24, 4, 1], seed=0), path)
-    path.write_text(path.read_text().replace("layer_sizes 24,4,1", f"layer_sizes {sizes}", 1))
+    path.write_text(corrupt(path.read_text()))
     with pytest.raises(CheckpointError, match="but layer_sizes give"):
         load_checkpoint(path)
 
@@ -149,7 +170,9 @@ def _ragged_row(text):
     lambda text: text.replace("seed 0", "seed zero", 1),
     lambda text: text.replace("layer_sizes 24,4,1", "layer_sizes 24,four,1", 1),
     lambda text: text[:200] + "x" + text[201:],
-], ids=["ragged-row", "seed", "layer_sizes", "weight"])
+    _layer_sizes("24,0,1"),
+    _layer_sizes("24,-40,1"),
+], ids=["ragged-row", "seed", "layer_sizes", "weight", "layer_sizes-zero", "layer_sizes-negative"])
 def test_malformed_text_names_the_file(tmp_path, corrupt):
     # numpy's and float()'s own messages used to escape without the path
     path = tmp_path / "net.ckpt"

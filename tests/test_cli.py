@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qgdream.cli import main
 from qgdream.checkpoint import load_checkpoint, save_checkpoint
 from qgdream.dataset import generate_dataset, read_dataset
-from qgdream.dreaming import DreamEnsembleResult
+from qgdream.dreaming import DreamConfig, DreamEnsembleResult
 from qgdream.manifest import parse_config
 from qgdream.nn import init_mlp
 from qgdream.tables import read_ensemble, write_ensemble, write_graph_weights
@@ -124,6 +124,23 @@ def test_every_run_failed_error_exit(workspace, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["overflow", "zero-graph"])
+def test_failed_single_run_error_exit(workspace, tmp_path, capsys, case):
+    # a run whose start or end has no true value fails as an ensemble run
+    # does, with no table and no manifest
+    _, _, ckpt = workspace
+    zero, out = tmp_path / "zero.txt", tmp_path / "traj.csv"
+    write_graph_weights(np.zeros(24), zero)
+    extra = {"overflow": ["--clamp", "false", "--lr", "1e307", "--stride", "10"],
+             "zero-graph": ["--graph", str(zero)]}[case]
+    with np.errstate(all="ignore"):
+        code = main(["dream", "--checkpoint", str(ckpt), "--steps", "20", "--out", str(out)]
+                    + extra)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: the run failed")
+    assert sorted(tmp_path.iterdir()) == [zero]
+
+
 def test_ensemble_table_keeps_failed_run_ids(tmp_path):
     # random starts are never degenerate, so the failed run is made by hand
     result = DreamEnsembleResult(Property.GHZ_FIDELITY, np.array([0.125, 0.25]),
@@ -183,6 +200,20 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     manifest = parse_config(str(out) + ".manifest")
     assert manifest["config.n"] == "50"
     assert manifest["config.seed"] == "1"
+
+
+def test_config_does_not_leak_into_the_next_call(workspace, tmp_path):
+    # the parser is built once per process; a config file must not become
+    # the defaults of the calls after it
+    _, _, ckpt = workspace
+    cfg = tmp_path / "dream.cfg"
+    cfg.write_text("lr=0.25\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    common = ["dream", "--checkpoint", str(ckpt), "--steps", "3"]
+    assert main(common + ["--config", str(cfg), "--out", str(first)]) == 0
+    assert main(common + ["--out", str(second)]) == 0
+    assert parse_config(f"{first}.manifest")["config.lr"] == "0.25"
+    assert float(parse_config(f"{second}.manifest")["config.lr"]) == DreamConfig.lr
 
 
 def test_unknown_config_key_fails(workspace, tmp_path):
@@ -348,7 +379,8 @@ def test_fuzzed_graph_file_exits_cleanly(workspace, tmp_path, command, text):
     if code == 1:
         assert last.startswith("error:")
     elif command[0] != "export":
-        # a degenerate state has no true value; the trajectory writes it as nan
+        # a degenerate start or end ends in error:; only a snapshot between
+        # them can be degenerate, and the trajectory writes its true value as nan
         assert _non_finite_cells(out, skip=("true",)) == []
 
 

@@ -16,12 +16,13 @@ from qgdream.dreaming import (
     dream_oracle,
     run_seeds,
 )
-from qgdream.nn import init_mlp, input_gradient, selected_output
+from qgdream.nn import init_mlp, input_gradient, resolve_selection, selected_output
 from qgdream.states import (
     GHZ_GRAPH,
     DegenerateStateError,
     Property,
     pm_probability_array,
+    property_value,
     random_graph,
 )
 
@@ -246,14 +247,49 @@ class TestAscentEngine:
         select = {"output": None, "hidden": (2, 3),
                   "per_row": (1, np.repeat(np.arange(3), 2))}[select]
         cfg = small_cfg(steps=30, lr=5e-2, snapshot_stride=7)
-        resolved = _dream_rows(m, x0, None, cfg, select=select)
-        public = _ascend(lambda x: input_gradient(m, x, select),
-                         lambda x: selected_output(m, x, select), x0, None, cfg)
-        for a, b in zip(resolved, public, strict=True):
-            assert [s.step for s in a.snapshots] == [s.step for s in b.snapshots]
-            for sa, sb in zip(a.snapshots, b.snapshots):
-                assert np.array_equal(sa.weights, sb.weights)
-                assert sa.predicted == sb.predicted
+        steps, resolved = _dream_rows(m, x0, cfg, select=select)
+        public_steps, public = _ascend(lambda x: input_gradient(m, x, select), x0, cfg)
+        assert steps == public_steps == [0, 7, 14, 21, 28, 30]
+        assert resolved.shape == public.shape == (len(steps), 6, 24)
+        assert np.array_equal(resolved, public)
+        sel = resolve_selection(m, select, len(x0))
+        for frame in resolved:
+            assert np.array_equal(selected_output(m, frame, sel), selected_output(m, frame, select))
+
+    def test_dream_snapshots_equal_lone_evaluations(self):
+        m = init_mlp([24, 8, 8, 1], seed=18)
+        traj = dream(m, random_graph(19), Property.GHZ_FIDELITY,
+                     small_cfg(steps=40, lr=5e-2, snapshot_stride=3))
+        assert len(traj.snapshots) == 15
+        for snap in traj.snapshots:
+            assert snap.predicted == selected_output(m, snap.weights)
+            assert snap.true_value == property_value(snap.weights, Property.GHZ_FIDELITY)
+
+    @pytest.mark.parametrize("use_adam", [False, True])
+    def test_oracle_snapshots_equal_lone_evaluations(self, use_adam):
+        traj = dream_oracle(random_graph(20), Property.MEAN_PURITY,
+                            small_cfg(steps=40, lr=5e-2, snapshot_stride=3, use_adam=use_adam))
+        assert len(traj.snapshots) == 15
+        for snap in traj.snapshots:
+            value = property_value(snap.weights, Property.MEAN_PURITY)
+            assert snap.predicted == value and snap.true_value == value
+
+    def test_network_output_evaluated_only_where_read(self, monkeypatch):
+        # an ensemble and a neuron dream read no network output; a trajectory
+        # reads all its snapshots' outputs in one call
+        m = init_mlp([24, 6, 5, 1], seed=21)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(np.atleast_2d(args[1])))
+            return selected_output(*args)
+
+        monkeypatch.setattr(dreaming, "selected_output", counted)
+        dream_ensemble(m, Property.GHZ_FIDELITY, 3, small_cfg(steps=20))
+        dream_neuron(m, (1, 2), 3, small_cfg(steps=20))
+        assert calls == []
+        dream(m, random_graph(22), Property.GHZ_FIDELITY, small_cfg(steps=20, snapshot_stride=5))
+        assert calls == [5]
 
     @pytest.mark.parametrize("select", [(0, 0), (4, 0), (1, 6), (1, -1), (2, [0, 5])])
     def test_bad_selection_raises_before_first_step(self, monkeypatch, select):
