@@ -27,6 +27,7 @@ from .states import Property, property_value_batch
 MAGIC = b"QGDD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBQQ")
+CHUNK = 20000  # graphs drawn per rejection-sampling round
 
 PROPERTY_TAGS = {Property.GHZ_FIDELITY: 0, Property.W_FIDELITY: 1,
                  Property.MEAN_PURITY: 2}
@@ -52,7 +53,7 @@ class Dataset:
         return len(self.labels)
 
 
-def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
+def generate_dataset(prop, n, cap=0.5, seed=0):
     """Rejection-sample n (graph, label) records with label < cap.
 
     cap=None disables filtering (evaluation sets); any other cap must be a
@@ -75,7 +76,7 @@ def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
     labels = np.empty(n, dtype=np.float32)
     drawn = kept = 0
     while kept < n:
-        w = rng.uniform(-1.0, 1.0, (chunk, 24))
+        w = rng.uniform(-1.0, 1.0, (CHUNK, 24))
         values, valid = property_value_batch(w, prop)
         # records are stored as float32, so each chunk is cast as it comes,
         # and the cap applies to the label as stored
@@ -84,9 +85,9 @@ def generate_dataset(prop, n, cap=0.5, seed=0, chunk=20000):
         rows = np.flatnonzero(mask)[:n - kept]
         inputs[kept:kept + len(rows)] = w[rows]
         labels[kept:kept + len(rows)] = values[rows]
-        drawn += chunk
+        drawn += CHUNK
         kept += int(np.count_nonzero(mask))
-        if drawn >= 10 * chunk and kept < 0.001 * drawn:
+        if drawn >= 10 * CHUNK and kept < 0.001 * drawn:
             raise RuntimeError(
                 f"rejection rate above 99.9% sustained ({kept}/{drawn} kept); "
                 f"cap {cap} looks unattainable for {prop.value}")

@@ -106,6 +106,12 @@ class DreamEnsembleResult:
         return float(np.mean(self.final_true > cap))
 
 
+# An unclamped dream may overflow into inf/NaN graphs. The run then fails
+# with a NaN true value, which is the report, so each dream runs its ascent
+# and evaluates its graphs with numpy's overflow warnings off.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 def _true_value(weights, prop):
     if prop is None:
         return math.nan
@@ -160,6 +166,7 @@ def _dream_rows(model, x0, cfg, select=None):
     return frames
 
 
+@_quiet
 def dream(model, g0, prop, cfg):
     """Maximize the frozen model's output by ascent on the input graph.
 
@@ -175,6 +182,7 @@ def dream(model, g0, prop, cfg):
         for step, g, value in zip(steps, graphs, selected_output(model, graphs))])
 
 
+@_quiet
 def dream_oracle(g0, prop, cfg):
     """Ascent on the true property gradient; no network involved.
 
@@ -199,6 +207,7 @@ def _random_starts(seed, n):
     return np.array([random_graph(np.random.default_rng(seq)) for seq in run_seeds(seed, n)])
 
 
+@_quiet
 def dream_ensemble(model, prop, n_runs, cfg):
     """n_runs independent dreams from random starts, as one batch.
 
@@ -220,6 +229,7 @@ def dream_ensemble(model, prop, n_runs, cfg):
                                np.flatnonzero(failed).tolist())
 
 
+@_quiet
 def _final_pm_pairs(model, starts, cfg, select):
     """Dream each row of starts on its selected neuron: (final graph, PM array) per row."""
     _, graphs = _dream_rows(model, starts, replace(cfg, snapshot_stride=cfg.steps), select)

@@ -1,6 +1,7 @@
 """Comma-separated table exports for trajectories, ensembles, and analyses.
 
-All tables carry a header row; floats are written with repr-exact
+One private writer, _write_csv, writes every table: a header row, then
+the rows its write_* caller builds. Floats are written with repr-exact
 precision so reruns are byte-identical.
 """
 
@@ -17,15 +18,18 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def write_trajectory(traj, path):
-    """One row per snapshot: step, the 24 weights, predicted, true."""
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["step"] + [f"w{i}" for i in range(N_EDGES)]
-                        + ["predicted", "true"])
-        for snap in traj.snapshots:
-            writer.writerow([snap.step] + [_fmt(v) for v in snap.weights]
-                            + [_fmt(snap.predicted), _fmt(snap.true_value)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trajectory(traj, path):
+    """One row per snapshot: step, the 24 weights, predicted, true."""
+    _write_csv(path, ["step"] + [f"w{i}" for i in range(N_EDGES)] + ["predicted", "true"],
+               ([snap.step] + [_fmt(v) for v in snap.weights]
+                + [_fmt(snap.predicted), _fmt(snap.true_value)] for snap in traj.snapshots))
 
 
 def write_ensemble(result, path):
@@ -34,12 +38,9 @@ def write_ensemble(result, path):
     Each row carries the run's original index, so the ids of failed runs
     are the ones missing.
     """
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["run", "initial_true", "final_true"])
-        for run, first, last in zip(result.runs, result.initial_true,
-                                    result.final_true):
-            writer.writerow([run, _fmt(first), _fmt(last)])
+    _write_csv(path, ["run", "initial_true", "final_true"],
+               ([run, _fmt(first), _fmt(last)] for run, first, last
+                in zip(result.runs, result.initial_true, result.final_true)))
 
 
 def _true_value(path, text):
@@ -74,62 +75,46 @@ def read_ensemble(path):
 
 def write_neuron_dreams(results, path):
     """One row per start: init, the 24 final weights, the 48 PM probabilities."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["init"] + [f"w{i}" for i in range(N_EDGES)]
-                        + [f"p_{d}_{k}" for d in "HVD" for k in range(16)])
-        for i, (graph, pm) in enumerate(results):
-            writer.writerow([i] + [_fmt(v) for v in graph] + [_fmt(v) for v in pm.ravel()])
+    _write_csv(path, ["init"] + [f"w{i}" for i in range(N_EDGES)]
+               + [f"p_{d}_{k}" for d in "HVD" for k in range(16)],
+               ([i] + [_fmt(v) for v in graph] + [_fmt(v) for v in pm.ravel()]
+                for i, (graph, pm) in enumerate(results)))
 
 
 def write_entropy_profile(profile, path):
     """Per-neuron rows plus per-layer summary rows (neuron = 'mean')."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer", "neuron", "entropy"])
-        for layer, neuron, h in profile.rows():
-            writer.writerow([layer, neuron, _fmt(h)])
-        for layer, (mean, dead) in enumerate(zip(profile.per_layer,
-                                                 profile.dead_neurons), 1):
-            writer.writerow([layer, "mean", _fmt(mean)])
-            writer.writerow([layer, "dead", dead])
+    rows = [[layer, neuron, _fmt(h)] for layer, neuron, h in profile.rows()]
+    for layer, (mean, dead) in enumerate(zip(profile.per_layer, profile.dead_neurons), 1):
+        rows += [[layer, "mean", _fmt(mean)], [layer, "dead", dead]]
+    _write_csv(path, ["layer", "neuron", "entropy"], rows)
 
 
 def write_activation_map(amap, path):
     """Post-threshold entries: layer, from_index, to_index, value."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer", "from_index", "to_index", "value"])
-        for layer, (values, mask) in enumerate(zip(amap.layers, amap.masks), 1):
-            for out_i, in_i in zip(*mask.nonzero()):
-                writer.writerow([layer, in_i, out_i, _fmt(values[out_i, in_i])])
+    _write_csv(path, ["layer", "from_index", "to_index", "value"],
+               ([layer, in_i, out_i, _fmt(values[out_i, in_i])]
+                for layer, (values, mask) in enumerate(zip(amap.layers, amap.masks), 1)
+                for out_i, in_i in zip(*mask.nonzero())))
 
 
 def write_shift_report(report, path):
     """Histogram rows plus summary rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bin_lo", "bin_hi", "initial_count", "final_count"])
-        for lo, hi, ini, fin in zip(report.bin_edges[:-1], report.bin_edges[1:],
-                                    report.initial_hist, report.final_hist):
-            writer.writerow([_fmt(lo), _fmt(hi), ini, fin])
-        writer.writerow(["mean_initial", _fmt(report.mean_initial), "", ""])
-        writer.writerow(["mean_final", _fmt(report.mean_final), "", ""])
-        writer.writerow(["max_initial", _fmt(report.max_initial), "", ""])
-        writer.writerow(["max_final", _fmt(report.max_final), "", ""])
-        writer.writerow([f"fraction_above_{report.cap:g}",
-                         _fmt(report.fraction_above_cap), "", ""])
+    summary = [("mean_initial", report.mean_initial), ("mean_final", report.mean_final),
+               ("max_initial", report.max_initial), ("max_final", report.max_final),
+               (f"fraction_above_{report.cap:g}", report.fraction_above_cap)]
+    _write_csv(path, ["bin_lo", "bin_hi", "initial_count", "final_count"],
+               [[_fmt(lo), _fmt(hi), ini, fin] for lo, hi, ini, fin
+                in zip(report.bin_edges[:-1], report.bin_edges[1:],
+                       report.initial_hist, report.final_hist)]
+               + [[name, _fmt(value), "", ""] for name, value in summary])
 
 
 def write_history(history, path):
     """Per-epoch training curve: epoch, train_mse, test_mse, learning_rate."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_mse", "test_mse", "learning_rate"])
-        for epoch, (tr, te, lr) in enumerate(zip(history.train_mse,
-                                                 history.test_mse,
-                                                 history.learning_rate), 1):
-            writer.writerow([epoch, _fmt(tr), _fmt(te), _fmt(lr)])
+    _write_csv(path, ["epoch", "train_mse", "test_mse", "learning_rate"],
+               ([epoch, _fmt(tr), _fmt(te), _fmt(lr)] for epoch, (tr, te, lr)
+                in enumerate(zip(history.train_mse, history.test_mse,
+                                 history.learning_rate), 1)))
 
 
 def read_graph_weights(path):

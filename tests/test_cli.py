@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,32 +113,36 @@ def test_dream_ensemble_and_shift(workspace, tmp_path):
 
 
 def test_every_run_failed_error_exit(workspace, tmp_path, capsys):
-    # this used to write a header-only table and exit 0 after NaN means
+    # this used to write a header-only table and exit 0 after NaN means;
+    # the overflow that fails the runs prints no numpy warning
     _, _, ckpt = workspace
     ens = tmp_path / "ens.csv"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["dream", "--checkpoint", str(ckpt), "--runs", "4", "--clamp", "false",
                      "--lr", "1e307", "--steps", "20", "--out", str(ens)])
     assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        "error: all 4 runs of the ensemble failed")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: all 4 runs of the ensemble failed")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["overflow", "zero-graph"])
 def test_failed_single_run_error_exit(workspace, tmp_path, capsys, case):
     # a run whose start or end has no true value fails as an ensemble run
-    # does, with no table and no manifest
+    # does, with no table, no manifest and no numpy warning
     _, _, ckpt = workspace
     zero, out = tmp_path / "zero.txt", tmp_path / "traj.csv"
     write_graph_weights(np.zeros(24), zero)
     extra = {"overflow": ["--clamp", "false", "--lr", "1e307", "--stride", "10"],
              "zero-graph": ["--graph", str(zero)]}[case]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["dream", "--checkpoint", str(ckpt), "--steps", "20", "--out", str(out)]
                     + extra)
     assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: the run failed")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the run failed")
     assert sorted(tmp_path.iterdir()) == [zero]
 
 

@@ -41,33 +41,36 @@ class TestGenerate:
             true = property_value(ds.inputs[i].astype(np.float64), ds.prop)
             assert abs(true - float(ds.labels[i])) < 1e-9 + 1e-6 * abs(true)
 
-    def test_records_held_once(self):
+    def test_records_held_once(self, monkeypatch):
         # accepted rows go straight into the output arrays: a list of chunks
         # concatenated at the end held every record twice (2.0x the records)
         n = 50_000
+        monkeypatch.setattr(dataset, "CHUNK", 500)
         tracemalloc.start()
         try:
-            ds = generate_dataset("ghz_fidelity", n, cap=None, seed=1, chunk=500)
+            ds = generate_dataset("ghz_fidelity", n, cap=None, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * 25 * 4
         assert len(ds) == n and ds.inputs.flags.c_contiguous
 
-    def test_chunk_size_does_not_change_records(self):
+    def test_chunk_size_does_not_change_records(self, monkeypatch):
         # the last chunk is cut at n, so only the first n accepted rows count
-        a = generate_dataset("mean_purity", 3000, cap=0.5, seed=4, chunk=1000)
         b = generate_dataset("mean_purity", 3000, cap=0.5, seed=4)
+        monkeypatch.setattr(dataset, "CHUNK", 1000)
+        a = generate_dataset("mean_purity", 3000, cap=0.5, seed=4)
         assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.labels, b.labels)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_dataset("ghz_fidelity", 0, seed=0)
 
-    def test_hopeless_cap_aborts(self):
+    def test_hopeless_cap_aborts(self, monkeypatch):
         # mean purity is at least (4 * 1/2 + 3 * 1/4) / 7 > 0.39 for any state
+        monkeypatch.setattr(dataset, "CHUNK", 1000)
         with pytest.raises(RuntimeError, match="rejection"):
-            generate_dataset("mean_purity", 10, cap=0.3, seed=0, chunk=1000)
+            generate_dataset("mean_purity", 10, cap=0.3, seed=0)
 
     @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0, 0.0, 1.5])
     def test_cap_outside_unit_interval_rejected_before_drawing(self, monkeypatch, cap):
