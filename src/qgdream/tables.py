@@ -136,4 +136,4 @@ def read_graph_weights(path):
 
 
 def write_graph_weights(weights, path):
-    Path(path).write_text("\n".join(f"{v:.17g}" for v in weights) + "\n")
+    Path(path).write_text("\n".join(map(_fmt, weights)) + "\n")
