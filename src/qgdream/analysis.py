@@ -21,22 +21,24 @@ SHIFT_BINS = 50  # equal-width histogram bins over [0, 1] in a shift report
 
 
 class UndefinedEntropyError(ValueError):
-    """Mean PM array is all zero; its entropy is undefined."""
+    """Mean PM array sums to zero or to a non-finite value; its entropy is undefined."""
 
 
 def neuron_entropy(arrays):
     """Shannon entropy (bits) of the normalized mean 3x16 PM array.
 
     The elementwise mean of the arrays is normalized to sum 1 before
-    applying H = sum(-p log2 p), with 0 log 0 := 0.
+    applying H = sum(-p log2 p), with 0 log 0 := 0. Raises
+    UndefinedEntropyError when the mean's sum is not finite and positive:
+    all zero, or NaN/inf from a dream that went non-finite.
     """
     stack = np.asarray(list(arrays), dtype=np.float64)
     if stack.size == 0:
         raise ValueError("need at least one PM probability array")
     mean = stack.mean(axis=0)
     total = mean.sum()
-    if total <= 0.0:
-        raise UndefinedEntropyError("all-zero mean PM array")
+    if not (np.isfinite(total) and total > 0.0):
+        raise UndefinedEntropyError(f"mean PM array sums to {total}")
     p = (mean / total).ravel()
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
@@ -57,10 +59,10 @@ def entropy_profile(model, k_inits=20, cfg=None):
     """Dream on every hidden neuron and aggregate entropies per layer.
 
     Each hidden layer is one batch of dreaming.dream_layer (every neuron x
-    every start). Neurons whose dreams all produce zero PM arrays are
-    excluded from the layer mean and counted in dead_neurons. Per-neuron
-    dream seeds are derived from cfg.seed and the (layer, neuron)
-    coordinates.
+    every start). Neurons whose entropy is undefined (their dreams all
+    produce zero PM arrays, or some went non-finite) are excluded from the
+    layer mean and counted in dead_neurons. Per-neuron dream seeds are
+    derived from cfg.seed and the (layer, neuron) coordinates.
     """
     cfg = cfg or DreamConfig()
     per_neuron = {}

@@ -22,11 +22,12 @@ ufuncs.
 
 Row exactness: each row's result is bit-identical to a dream of that row
 alone, whatever the batch size. The optimizer steps and the clamp act
-elementwise, and nn.input_gradient evaluates every layer as a stacked
-product, one BLAS call per row, which is the call a lone row gets. A
-plain batched gemm would differ from the lone rows in the last bits (and
-from one batch size to another), which would break reproducibility across
-ensemble sizes and the exact-equality tests.
+elementwise. nn.input_gradient evaluates each shared layer in fixed
+blocks of nn.BLOCK_ROWS rows, one gemm per block, in which a row gets the
+bits it gets alone in a zero-padded block, and each row's selected neuron
+as one product per row. A plain batched gemm would differ from the lone
+rows in the last bits (and from one batch size to another), which would
+break reproducibility across ensemble sizes and the exact-equality tests.
 """
 
 from __future__ import annotations

@@ -224,15 +224,33 @@ def param_gradients(model, x, y):
     return w_grads, b_grads, loss
 
 
-def _rowwise(a, w):
-    """a @ w one row at a time: row r is a[r] @ w, or a[r] @ w[r] for a stack.
+BLOCK_ROWS = 8  # rows per fixed-shape product in _rowwise
 
-    NumPy evaluates a stacked product with one BLAS call per row, the same
-    call a lone (1, d) input gets, so row r's result is bit-identical for
-    every batch size. A plain (n, d) @ w is one gemm, whose rounding can
-    change with n.
+
+def _rowwise(a, w):
+    """a @ w with row r's bits independent of the batch: a[r] @ w, or
+    a[r] @ w[r] for a stack.
+
+    A 2-D w (a shared layer) runs in blocks of BLOCK_ROWS rows: the (n, d)
+    rows are zero-padded to a multiple of BLOCK_ROWS (no copy when n is one
+    already), multiplied as one stacked (blocks, BLOCK_ROWS, d) @ w, which
+    NumPy runs as one BLAS gemm per block, and the padding is dropped. A
+    row's bits depend neither on its position in a block nor on its
+    neighbours (OpenBLAS does not document this; TestBlockInvariance in
+    tests/test_nn.py checks it for every layer shape in use), so each row
+    gets the bits it gets alone in a zero-padded block. A plain (n, d) @ w
+    is one gemm, whose rounding can change with n. A 3-D w (the selected
+    layer's per-row weights) takes one BLAS call per row.
     """
-    return (a[:, None, :] @ w)[:, 0]
+    if w.ndim == 3:
+        return (a[:, None, :] @ w)[:, 0]
+    n, d = a.shape
+    blocks = -(-n // BLOCK_ROWS)
+    if n % BLOCK_ROWS:
+        padded = np.zeros((blocks * BLOCK_ROWS, d), dtype=a.dtype)
+        padded[:n] = a
+        a = padded
+    return (a.reshape(blocks, BLOCK_ROWS, d) @ w).reshape(blocks * BLOCK_ROWS, -1)[:n]
 
 
 @dataclass(frozen=True)
@@ -313,7 +331,8 @@ def selected_output(model, x, select=None):
 
     select is as in input_gradient. Accepts (d,) or (n, d); returns a float
     or (n,) array. Row r's value is forward()'s post-activation of its
-    selected neuron, computed one row at a time.
+    selected neuron, computed as input_gradient's forward pass computes it,
+    with the bits of a lone input.
     """
     single, xb, sel = _as_rows(model, x, select)
     out = _forward_rows(model, xb, sel)[1]
@@ -329,9 +348,10 @@ def input_gradient(model, x, select=None):
     neuron is differentiated after its activation; layer n_layers is the
     output layer. select may also be the Selection that resolve_selection
     made for these rows, which a caller taking many steps resolves once.
-    The prefix layers run for all rows at once. Every product runs one row
-    at a time (see _rowwise), so row r's gradient is bit-identical to that
-    of a lone input, at any batch size. Parameters are untouched.
+    The prefix layers run for all rows at once, in blocks of BLOCK_ROWS
+    rows, and the selected layer one row at a time (see _rowwise), so row
+    r's gradient is bit-identical to that of a lone input, at any batch
+    size. Parameters are untouched.
 
     Accepts (d,) or (n, d); returns the matching shape.
     """

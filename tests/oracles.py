@@ -10,7 +10,8 @@ instead of by the package's (layer, neuron) selection. The batch state
 kernel and the training batches' symmetry mapping gather with 2-D fancy
 indexing, the dataset writer stacks and copies its records, and Adam steps
 each array of a list on its own, as the package's first versions of them
-did.
+did. The dream path's block products are checked against plain numpy
+products of a zero-padded block that holds one row alone.
 """
 
 from pathlib import Path
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
 from qgdream.edges import EDGE_PERMUTATIONS, MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
 from qgdream.edges import MATCH_EDGE_1 as _E1, MATCH_EDGE_2 as _E2  # (3, 16) each
-from qgdream.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Mlp
+from qgdream import nn
+from qgdream.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_ROWS, Mlp, init_mlp
 from qgdream.states import (
     BIPARTITIONS,
     EPS_NORM,
@@ -294,3 +296,81 @@ def truncate_at_neuron(model, layer, neuron):
         biases.append(np.zeros(1))
         sizes.append(1)
     return Mlp(sizes, model.activation, weights, biases, alpha=model.alpha, seed=model.seed)
+
+
+def lone_block_product(row, w):
+    """row @ w as one plain (BLOCK_ROWS, d) @ w gemm of a zero block whose
+    first row is row: the product a row gets alone on the dream path."""
+    block = np.zeros((BLOCK_ROWS, len(row)))
+    block[0] = row
+    return (block @ w)[0]
+
+
+def padded_block_predict(model, x):
+    """The scalar output of one input x as the dream path computes it.
+
+    Every hidden layer is x's lone_block_product with the layer's
+    transposed weights, plus the bias; the output layer is x's own one-row
+    product, as a selected neuron's is. Returns a float.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    last = model.n_layers - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if layer < last:
+            a = _activate(lone_block_product(a, w.T) + b, model.activation, model.alpha)
+        else:
+            a = (a[None, :] @ w.T)[0] + b
+    return float(a[0])
+
+
+#: (in, out) of every layer in the CLI's default [24,128,128,128,1] net.
+CLI_LAYER_SHAPES = ((24, 128), (128, 128), (128, 24), (128, 1))
+
+
+def _sparse_uniform(rng, shape, zero_fraction=0.3):
+    a = rng.uniform(-1, 1, shape)
+    a[rng.random(shape) < zero_fraction] = 0.0
+    return a
+
+
+def block_invariance_failures(seed=0):
+    """Rows whose bits on the dream path differ from those they get alone.
+
+    For each layer shape in CLI_LAYER_SHAPES, forward (rows @ w.T, through
+    a transposed view as nn takes it) and backward (rows @ w), every row of
+    nn._rowwise's product must equal its lone_block_product. The batches
+    have 30% zero entries; sizes straddle the block edge, and a 16-row batch
+    is rolled through every offset so that each row takes every position in
+    a block next to different neighbours. For a ReLU net of the CLI's shape
+    and a small ELU net, each row of a batched input_gradient and
+    selected_output (per-row neurons of every layer) must equal that row's
+    lone call. Returns one description per mismatch; empty when all match.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+    for n_in, n_out in CLI_LAYER_SHAPES:
+        w = rng.uniform(-1, 1, (n_out, n_in))
+        for name, mat in (("forward", w.T), ("backward", w)):
+            base = _sparse_uniform(rng, (16, len(mat)))
+            batches = [np.roll(base, shift, axis=0) for shift in range(BLOCK_ROWS)]
+            batches += [_sparse_uniform(rng, (n, len(mat))) for n in (1, 7, 9, 23)]
+            for a in batches:
+                out = nn._rowwise(a, mat)
+                for r in range(len(a)):
+                    if not np.array_equal(out[r], lone_block_product(a[r], mat)):
+                        failures.append(f"{name} {n_in}->{n_out}, {len(a)} rows, row {r}")
+    for model in (init_mlp([24, 128, 128, 128, 1], seed=seed),
+                  init_mlp([24, 6, 5, 1], activation="elu", alpha=0.1, seed=seed)):
+        for n in (1, 7, 8, 9, 17):
+            x = _sparse_uniform(rng, (n, 24))
+            for layer in range(1, model.n_layers + 1):
+                neurons = rng.integers(model.layer_sizes[layer], size=n)
+                grads = nn.input_gradient(model, x, select=(layer, neurons))
+                values = nn.selected_output(model, x, select=(layer, neurons))
+                for r in range(n):
+                    select = (layer, int(neurons[r]))
+                    if not (np.array_equal(grads[r], nn.input_gradient(model, x[r], select))
+                            and values[r] == nn.selected_output(model, x[r], select)):
+                        failures.append(f"{model.activation} {model.layer_sizes}, "
+                                        f"{n} rows, row {r}, select {select}")
+    return failures

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ class TestNeuronEntropy:
         with pytest.raises(UndefinedEntropyError):
             neuron_entropy([np.zeros((3, 16))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_undefined(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedEntropyError):
+                neuron_entropy([spike(0, 0), spike(1, 2, bad)])
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             neuron_entropy([])
@@ -109,6 +118,19 @@ class TestEntropyProfile:
         assert np.isnan(profile.per_neuron[(1, 0)])
         # layer mean comes from the two defined neurons only (both H = 0)
         assert profile.per_layer[0] == 0.0
+
+    def test_non_finite_dreams_count_as_dead(self):
+        # unclamped steps of lr 1e307 overflow: those neurons' PM arrays are NaN
+        m = init_mlp([24, 6, 6, 1], seed=0)
+        cfg = DreamConfig(steps=20, lr=1e307, clamp=False, snapshot_stride=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = entropy_profile(m, 2, cfg)
+        undefined = [key for key, h in profile.per_neuron.items() if np.isnan(h)]
+        assert len(undefined) > 0
+        assert sum(profile.dead_neurons) == len(undefined)
+        for h in profile.per_neuron.values():
+            assert np.isnan(h) or 0.0 < h <= MAX_ENTROPY + 1e-12
 
 
 class TestWeightedActivations:

@@ -195,7 +195,7 @@ class TestRowExactness:
             assert result.final_true[run] == solo.final.true_value
             assert np.array_equal(result.final_graphs[run], solo.final.weights)
 
-    @pytest.mark.parametrize("n", [2, 3, 17, 256])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 256])
     def test_selected_gradient_row_independent_of_batch_size(self, n):
         m = init_mlp([24, 16, 12, 1], seed=14)
         rng = np.random.default_rng(n)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from qgdream.nn import (
 
 from oracles import (
     ReferenceAdam,
+    block_invariance_failures,
     finite_difference,
+    padded_block_predict,
     reference_forward,
     reference_param_gradients,
     reference_symmetry_mapped,
@@ -322,8 +328,8 @@ class TestInputGradient:
                 grads = input_gradient(m, x, select=(layer, neuron))
                 values = selected_output(m, x, select=(layer, neuron))
                 for r in range(4):
-                    assert np.array_equal(grads[r], input_gradient(t, x[r]))
-                    assert values[r] == predict(t, x[r])
+                    assert np.array_equal(grads[r], input_gradient(t, x[r], select=(layer, 0)))
+                    assert values[r] == selected_output(t, x[r], select=(layer, 0))
 
     def test_selection_out_of_range(self):
         m = init_mlp([24, 4, 1], seed=0)
@@ -341,6 +347,27 @@ class TestInputGradient:
         assert np.array_equal(selected_output(m, x, sel), selected_output(m, x, select))
         with pytest.raises(ValueError, match="resolved for 3 rows"):
             input_gradient(m, x[:2], sel)
+
+
+class TestBlockInvariance:
+    """The dream path's block products give each row the bits it gets alone.
+
+    OpenBLAS does not document this; these tests guard it on the host that
+    runs them (see oracles.block_invariance_failures).
+    """
+
+    def test_rows_equal_their_lone_padded_block(self):
+        assert block_invariance_failures() == []
+
+    def test_at_one_and_two_blas_threads(self):
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        code = "import sys, oracles; f = oracles.block_invariance_failures(); print(f); sys.exit(bool(f))"
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (threads, proc.stdout, proc.stderr)
 
 
 class TestAdam:
@@ -432,7 +459,7 @@ class TestTruncate:
     def test_output_selector_is_identity(self):
         m = init_mlp([24, 8, 8, 1], seed=16)
         x = np.random.default_rng(12).uniform(-1, 1, 24)
-        assert selected_output(m, x, select=(3, 0)) == predict(m, x)
+        assert selected_output(m, x, select=(3, 0)) == padded_block_predict(m, x)
         assert predict(truncate_at_neuron(m, 3, 0), x) == predict(m, x)
 
     def test_consistency_with_recorded_activations(self):
@@ -445,7 +472,7 @@ class TestTruncate:
                     x = rng.uniform(-1, 1, 24)
                     _, posts = forward(m, x)
                     value = selected_output(m, x, select=(layer, neuron))
-                    assert value == predict(t, x)
+                    assert value == selected_output(t, x, select=(layer, 0))
                     assert abs(value - posts[layer][neuron]) < 1e-12
 
     def test_first_layer_shape(self):
