@@ -20,28 +20,27 @@ MAX_ENTROPY = float(np.log2(48))
 SHIFT_BINS = 50  # equal-width histogram bins over [0, 1] in a shift report
 
 
-class UndefinedEntropyError(ValueError):
-    """Mean PM array sums to zero or to a non-finite value; its entropy is undefined."""
-
-
 def neuron_entropy(arrays):
-    """Shannon entropy (bits) of the normalized mean 3x16 PM array.
+    """Shannon entropy (bits) of the normalized mean 3x16 PM array of each stack.
 
-    The elementwise mean of the arrays is normalized to sum 1 before
-    applying H = sum(-p log2 p), with 0 log 0 := 0. Raises
-    UndefinedEntropyError when the mean's sum is not finite and positive:
-    all zero, or NaN/inf from a dream that went non-finite.
+    arrays is one (k, 3, 16) stack of PM arrays, which gives a float, or a
+    (..., k, 3, 16) stack, which gives one entropy per leading index. The
+    mean over k is normalized to sum 1 before applying H = sum(-p log2 p),
+    with 0 log 0 := 0. The entropy is NaN where the mean's sum is not
+    finite and positive: all zero, or NaN/inf from a dream gone non-finite.
     """
-    stack = np.asarray(list(arrays), dtype=np.float64)
-    if stack.size == 0:
+    # numpy reduces in memory order: a C-contiguous copy gives every stack
+    # the bits it gets alone, whatever view the arrays come in
+    stack = np.ascontiguousarray(arrays, dtype=np.float64)
+    if stack.ndim < 3 or stack.shape[-3] == 0:
         raise ValueError("need at least one PM probability array")
-    mean = stack.mean(axis=0)
-    total = mean.sum()
-    if not (np.isfinite(total) and total > 0.0):
-        raise UndefinedEntropyError(f"mean PM array sums to {total}")
-    p = (mean / total).ravel()
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    mean = stack.mean(axis=-3).reshape(*stack.shape[:-3], -1)
+    total = mean.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = mean / total[..., None]
+        h = -np.where(p > 0.0, p * np.log2(p), 0.0).sum(axis=-1)
+    h = np.where(np.isfinite(total) & (total > 0.0), h, np.nan)
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass
@@ -59,26 +58,25 @@ def entropy_profile(model, k_inits=20, cfg=None):
     """Dream on every hidden neuron and aggregate entropies per layer.
 
     Each hidden layer is one batch of dreaming.dream_layer (every neuron x
-    every start). Neurons whose entropy is undefined (their dreams all
-    produce zero PM arrays, or some went non-finite) are excluded from the
-    layer mean and counted in dead_neurons. Per-neuron dream seeds are
-    derived from cfg.seed and the (layer, neuron) coordinates.
+    every start) and one neuron_entropy call. Neurons whose entropy is
+    undefined (NaN: their dreams all produce zero PM arrays, or some went
+    non-finite) are excluded from the layer mean and counted in
+    dead_neurons. Per-neuron dream seeds are derived from cfg.seed and the
+    (layer, neuron) coordinates. Raises ValueError for a net without a
+    hidden layer.
     """
+    if model.n_layers < 2:
+        raise ValueError(f"layer sizes {model.layer_sizes} have no hidden layer to profile")
     cfg = cfg or DreamConfig()
     per_neuron = {}
     per_layer, dead = [], []
     for layer in range(1, model.n_layers):
-        values, n_dead = [], 0
-        for neuron, pairs in enumerate(dream_layer(model, layer, k_inits, cfg)):
-            try:
-                h = neuron_entropy([arr for _, arr in pairs])
-                values.append(h)
-            except UndefinedEntropyError:
-                h = float("nan")
-                n_dead += 1
-            per_neuron[(layer, neuron)] = h
-        per_layer.append(float(np.mean(values)) if values else float("nan"))
-        dead.append(n_dead)
+        _, pms = dream_layer(model, layer, k_inits, cfg)
+        h = neuron_entropy(pms)
+        per_neuron.update({(layer, neuron): v for neuron, v in enumerate(h.tolist())})
+        defined = h[~np.isnan(h)]
+        per_layer.append(float(np.mean(defined)) if len(defined) else float("nan"))
+        dead.append(len(h) - len(defined))
     return EntropyProfile(per_neuron, per_layer, dead)
 
 

@@ -87,8 +87,8 @@ def _parse_checkpoint(lines, path):
         raise CheckpointError(
             f"{path}: activate_output {header['activate_output']!r}, expected 0")
     layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
-    if min(layer_sizes) < 1:
-        raise ValueError(f"layer_sizes {header['layer_sizes']} holds a size below 1")
+    if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+        raise ValueError(f"layer_sizes {header['layer_sizes']} must hold 2 or more sizes >= 1")
     weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
         w, pos = _block(lines, pos, f"layer {i} weights {n_out} {n_in}", n_out, n_in, path)

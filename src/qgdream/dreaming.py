@@ -231,10 +231,10 @@ def dream_ensemble(model, prop, n_runs, cfg):
 
 
 @_quiet
-def _final_pm_pairs(model, starts, cfg, select):
-    """Dream each row of starts on its selected neuron: (final graph, PM array) per row."""
+def _final_dreams(model, starts, cfg, select):
+    """Dream each row of starts on its selected neuron: final graphs and PM arrays."""
     _, graphs = _dream_rows(model, starts, replace(cfg, snapshot_stride=cfg.steps), select)
-    return list(zip(graphs[-1], kernels.pm_probability_batch(graphs[-1])))
+    return graphs[-1], kernels.pm_probability_batch(graphs[-1])
 
 
 def dream_neuron(model, select, k_inits, cfg):
@@ -242,12 +242,12 @@ def dream_neuron(model, select, k_inits, cfg):
 
     select is the (layer, neuron) pair of nn.input_gradient: layer l <
     n_layers is the l-th hidden layer, whose neuron is dreamed on after its
-    activation, and layer n_layers the output layer. Returns a list of
-    (final graph, 3x16 PM probability array) pairs for the analysis stage.
+    activation, and layer n_layers the output layer. Returns the final
+    graphs (k_inits, 24) and their PM probability arrays (k_inits, 3, 16).
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
-    return _final_pm_pairs(model, _random_starts(cfg.seed, k_inits), cfg, select)
+    return _final_dreams(model, _random_starts(cfg.seed, k_inits), cfg, select)
 
 
 def dream_layer(model, layer, k_inits, cfg):
@@ -255,7 +255,7 @@ def dream_layer(model, layer, k_inits, cfg):
 
     Neuron j's starts are those of dream_neuron with the seed derived from
     (cfg.seed, layer, j), so its results equal dream_neuron's for that
-    seed. Returns one list of (final graph, PM array) pairs per neuron.
+    seed. Returns dream_neuron's two arrays, each with a leading neuron axis.
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
@@ -265,6 +265,6 @@ def dream_layer(model, layer, k_inits, cfg):
     seeds = [int(np.random.SeedSequence([cfg.seed, layer, j]).generate_state(1)[0])
              for j in range(n_neurons)]
     starts = np.concatenate([_random_starts(seed, k_inits) for seed in seeds])
-    pairs = _final_pm_pairs(model, starts, cfg,
-                            (layer, np.repeat(np.arange(n_neurons), k_inits)))
-    return [pairs[j * k_inits:(j + 1) * k_inits] for j in range(n_neurons)]
+    graphs, pms = _final_dreams(model, starts, cfg,
+                                (layer, np.repeat(np.arange(n_neurons), k_inits)))
+    return graphs.reshape(n_neurons, k_inits, -1), pms.reshape(n_neurons, k_inits, 3, 16)

@@ -74,11 +74,11 @@ def read_ensemble(path):
 
 
 def write_neuron_dreams(results, path):
-    """One row per start: init, the 24 final weights, the 48 PM probabilities."""
+    """One row per start of a (graphs, PM arrays) pair: init, 24 weights, 48 PM probabilities."""
     _write_csv(path, ["init"] + [f"w{i}" for i in range(N_EDGES)]
                + [f"p_{d}_{k}" for d in "HVD" for k in range(16)],
                ([i] + [_fmt(v) for v in graph] + [_fmt(v) for v in pm.ravel()]
-                for i, (graph, pm) in enumerate(results)))
+                for i, (graph, pm) in enumerate(zip(*results))))
 
 
 def write_entropy_profile(profile, path):

@@ -281,6 +281,12 @@ def truncate_at_neuron(model, layer, neuron):
     identity output layer (weight 1.0, bias 0.0). For the output layer it
     is the prefix plus the neuron's row as the unactivated output. Arrays
     are copies, so the net shares no memory with model.
+
+    Its input gradients, and so the graphs a dream on it visits, equal the
+    selection's bit for bit. Its value need not: the neuron's row is a
+    shared width-1 layer here, computed in nn.BLOCK_ROWS-row blocks, while
+    the selection takes one product per row, and at width 128 the two sums
+    differ in the last bits (by up to about 2e-16).
     """
     if not 1 <= layer <= model.n_layers:
         raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qgdream import kernels
 from qgdream.analysis import (
     MAX_ENTROPY,
-    UndefinedEntropyError,
     entropy_profile,
     neuron_entropy,
     shift_report,
@@ -71,19 +71,44 @@ class TestNeuronEntropy:
                 assert h > 0.0
 
     def test_all_zero_undefined(self):
-        with pytest.raises(UndefinedEntropyError):
-            neuron_entropy([np.zeros((3, 16))])
+        assert np.isnan(neuron_entropy([np.zeros((3, 16))]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_undefined(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(UndefinedEntropyError):
-                neuron_entropy([spike(0, 0), spike(1, 2, bad)])
+            assert np.isnan(neuron_entropy([spike(0, 0), spike(1, 2, bad)]))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             neuron_entropy([])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "batch_view"])
+    def test_stack_equals_single_neuron_calls(self, layout):
+        # one call on an (N, k, 3, 16) stack gives each neuron the bits of its
+        # own call, whatever the stack's memory order; kernels'
+        # pm_probability_batch returns a transposed view
+        n, k = 12, 20
+        rng = np.random.default_rng(4)
+        if layout == "contiguous":
+            pms = rng.uniform(0, 1, (n, k, 3, 16))
+        else:
+            pms = kernels.pm_probability_batch(rng.uniform(-1, 1, (n * k, 24)))
+            pms = pms.reshape(n, k, 3, 16)
+            assert not pms.flags.c_contiguous
+        pms[1] = 0.0
+        pms[4, 3, 0, 7] = np.nan
+        pms[7, 0, 2, 2] = np.inf
+        pms[9, :, 1] = 0.0  # defined, with 16 zero probabilities
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = neuron_entropy(pms)
+            singles = [neuron_entropy(pms[j]) for j in range(n)]
+        assert all(type(h) is float for h in singles)
+        assert stacked.shape == (n,)
+        assert stacked.tobytes() == np.array(singles).tobytes()
+        assert np.flatnonzero(np.isnan(stacked)).tolist() == [1, 4, 7]
+        assert neuron_entropy(pms.reshape(3, 4, k, 3, 16)).tobytes() == stacked.tobytes()
 
 
 class TestEntropyProfile:
@@ -103,13 +128,11 @@ class TestEntropyProfile:
         import qgdream.analysis as analysis_mod
 
         def fake_dream_layer(model, layer, k_inits, cfg):
-            results = []
-            for neuron in range(model.layer_sizes[layer]):
-                if (layer, neuron) == (1, 0):
-                    results.append([(np.zeros(24), np.zeros((3, 16)))] * k_inits)
-                else:
-                    results.append([(np.zeros(24), spike(0, neuron))] * k_inits)
-            return results
+            pms = np.array([spike(0, neuron) for neuron in range(model.layer_sizes[layer])])
+            if layer == 1:
+                pms[0] = 0.0
+            pms = np.repeat(pms[:, None], k_inits, axis=1)
+            return np.zeros(pms.shape[:2] + (24,)), pms
 
         monkeypatch.setattr(analysis_mod, "dream_layer", fake_dream_layer)
         m = init_mlp([24, 3, 1], seed=1)
@@ -118,6 +141,10 @@ class TestEntropyProfile:
         assert np.isnan(profile.per_neuron[(1, 0)])
         # layer mean comes from the two defined neurons only (both H = 0)
         assert profile.per_layer[0] == 0.0
+
+    def test_no_hidden_layer_rejected(self):
+        with pytest.raises(ValueError, match=r"layer sizes \[24, 1\] have no hidden layer"):
+            entropy_profile(init_mlp([24, 1], seed=0), k_inits=2, cfg=DreamConfig(steps=1))
 
     def test_non_finite_dreams_count_as_dead(self):
         # unclamped steps of lr 1e307 overflow: those neurons' PM arrays are NaN

@@ -159,6 +159,12 @@ def test_unknown_activation(tmp_path):
         load_checkpoint(path)
 
 
+def _one_layer_size(text):
+    # one size and no layer block: this used to load as a net without layers
+    header = "\n".join(text.splitlines()[:6])
+    return header.replace("layer_sizes 24,4,1", "layer_sizes 24") + "\n"
+
+
 def _ragged_row(text):
     lines = text.splitlines()
     lines[7] += " 0.5"  # the first weight row of layer 0 gets a 25th value
@@ -172,7 +178,9 @@ def _ragged_row(text):
     lambda text: text[:200] + "x" + text[201:],
     _layer_sizes("24,0,1"),
     _layer_sizes("24,-40,1"),
-], ids=["ragged-row", "seed", "layer_sizes", "weight", "layer_sizes-zero", "layer_sizes-negative"])
+    _one_layer_size,
+], ids=["ragged-row", "seed", "layer_sizes", "weight", "layer_sizes-zero", "layer_sizes-negative",
+        "layer_sizes-one-size"])
 def test_malformed_text_names_the_file(tmp_path, corrupt):
     # numpy's and float()'s own messages used to escape without the path
     path = tmp_path / "net.ckpt"

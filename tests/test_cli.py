@@ -177,6 +177,32 @@ def test_entropy_subcommand(workspace, tmp_path):
     assert ",mean," in text and ",dead," in text
 
 
+def test_entropy_without_hidden_layer_error_exit(tmp_path, capsys):
+    # a [24, 1] net has no hidden neuron; entropy used to print an empty list
+    # of means, write a header-only table and exit 0
+    ckpt, out = tmp_path / "net.ckpt", tmp_path / "entropy.csv"
+    save_checkpoint(init_mlp([24, 1], seed=0), ckpt)
+    assert main(["entropy", "--checkpoint", str(ckpt), "--steps", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: layer sizes [24, 1] have no hidden layer to profile\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [ckpt]
+
+
+@pytest.mark.parametrize("command", ["activations", "entropy"])
+def test_one_layer_size_checkpoint_error_exit(tmp_path, capsys, command):
+    # layer_sizes 24 with no layer block used to load: activations then ended
+    # in an IndexError traceback, entropy in exit 0 and a header-only table
+    ckpt, out = tmp_path / "net.ckpt", tmp_path / "out.csv"
+    save_checkpoint(init_mlp([24, 4, 1], seed=0), ckpt)
+    header = "\n".join(ckpt.read_text().splitlines()[:6])
+    ckpt.write_text(header.replace("layer_sizes 24,4,1", "layer_sizes 24") + "\n")
+    assert main([command, "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: malformed checkpoint: ")
+    assert list(tmp_path.iterdir()) == [ckpt]
+
+
 def test_activations_subcommand(workspace, tmp_path):
     root, _, ckpt = workspace
     graph = tmp_path / "graph.txt"

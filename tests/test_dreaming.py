@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qgdream import dreaming
-from qgdream.analysis import UndefinedEntropyError, entropy_profile, neuron_entropy
+from qgdream.analysis import entropy_profile, neuron_entropy
 from qgdream.dreaming import (
     DreamConfig,
     _ascend,
@@ -13,6 +13,7 @@ from qgdream.dreaming import (
     _dream_rows,
     dream,
     dream_ensemble,
+    dream_layer,
     dream_neuron,
     dream_oracle,
     run_seeds,
@@ -157,21 +158,31 @@ class TestDreamEnsemble:
 class TestDreamNeuron:
     def test_shape_contract(self):
         m = init_mlp([24, 6, 6, 1], seed=10)
-        results = dream_neuron(m, (2, 3), 20, small_cfg(steps=20))
-        assert len(results) == 20
-        for graph, pm in results:
-            assert graph.shape == (24,)
-            assert pm.shape == (3, 16)
+        graphs, pms = dream_neuron(m, (2, 3), 20, small_cfg(steps=20))
+        assert graphs.shape == (20, 24)
+        assert pms.shape == (20, 3, 16)
 
     def test_output_selector_reduces_to_full_net(self):
         m = init_mlp([24, 6, 1], seed=11)
         cfg = small_cfg(steps=25)
-        neuron_results = dream_neuron(m, (2, 0), 3, cfg)
+        graphs, _ = dream_neuron(m, (2, 0), 3, cfg)
         from qgdream.dreaming import run_seeds
-        for seq, (graph, _) in zip(run_seeds(cfg.seed, 3), neuron_results):
+        for seq, graph in zip(run_seeds(cfg.seed, 3), graphs):
             g0 = random_graph(np.random.default_rng(seq))
             solo = dream(m, g0, None, cfg)
             assert np.array_equal(solo.final.weights, graph)
+
+    def test_layer_equals_neuron_dreams(self):
+        m = init_mlp([24, 6, 5, 1], seed=23)
+        cfg = small_cfg(steps=20, lr=5e-2, seed=4)
+        graphs, pms = dream_layer(m, 2, 3, cfg)
+        assert graphs.shape == (5, 3, 24) and pms.shape == (5, 3, 3, 16)
+        for j in range(5):
+            seed = int(np.random.SeedSequence([cfg.seed, 2, j]).generate_state(1)[0])
+            neuron_graphs, neuron_pms = dream_neuron(m, (2, j), 3, small_cfg(
+                steps=20, lr=5e-2, seed=seed))
+            assert np.array_equal(graphs[j], neuron_graphs)
+            assert np.array_equal(pms[j], neuron_pms)
 
     def test_model_frozen(self):
         m = init_mlp([24, 6, 6, 1], seed=12)
@@ -225,12 +236,12 @@ class TestRowExactness:
                     solo = dream(truncated, random_graph(np.random.default_rng(seq)),
                                  None, cfg)
                     arrays.append(pm_probability_array(solo.final.weights))
-                try:
-                    expected = neuron_entropy(arrays)
+                expected = neuron_entropy(arrays)
+                if math.isnan(expected):
+                    assert math.isnan(profile.per_neuron[(layer, neuron)])
+                else:
                     values.append(expected)
                     assert profile.per_neuron[(layer, neuron)] == expected
-                except UndefinedEntropyError:
-                    assert math.isnan(profile.per_neuron[(layer, neuron)])
             assert profile.per_layer[layer - 1] == float(np.mean(values))
 
 

@@ -475,6 +475,21 @@ class TestTruncate:
                     assert value == selected_output(t, x, select=(layer, 0))
                     assert abs(value - posts[layer][neuron]) < 1e-12
 
+    def test_cli_width_gradients_exact_values_close(self):
+        # at width 128 the truncated net's neuron row, a shared width-1 layer
+        # in 8-row blocks, and the selection's per-row product sum in
+        # different orders: the values differ in the last bits, the input
+        # gradients (and so the dreamed graphs) do not
+        m = init_mlp([24, 128, 128, 128, 1], seed=0)
+        x = np.random.default_rng(14).uniform(-1, 1, (20, 24))
+        for layer in (1, 2, 3):
+            for neuron in (0, 5, 77, 127):
+                t = truncate_at_neuron(m, layer, neuron)
+                select = (layer, neuron)
+                assert np.array_equal(input_gradient(t, x), input_gradient(m, x, select))
+                assert np.allclose(selected_output(t, x), selected_output(m, x, select),
+                                   rtol=0.0, atol=1e-12)
+
     def test_first_layer_shape(self):
         # a hidden neuron keeps its activation: 1-wide hidden layer, then 1x1 identity
         m = init_mlp([24, 4, 1], seed=18)

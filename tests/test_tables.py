@@ -60,7 +60,7 @@ ENSEMBLE = [
 
 
 def _neuron_dreams():
-    return [(GRAPH, _pm(0.25, 1e-300)), (np.zeros(24), _pm(-0.0, NAN))]
+    return np.array([GRAPH, np.zeros(24)]), np.array([_pm(0.25, 1e-300), _pm(-0.0, NAN)])
 
 
 NEURON_DREAMS = [
