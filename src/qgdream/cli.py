@@ -200,8 +200,9 @@ def cmd_train(args, cfg):
     save_checkpoint(model, args.out)
     history_path = args.history or f"{args.out}.history.csv"
     tables.write_history(history, history_path)
-    print(f"trained {cfg['layers']}: {history.epochs_run} epochs, "
-          f"best test MSE {history.final_test_mse:.3e}")
+    print(f"trained {cfg['layers']}: {history.epochs_run} epochs "
+          f"(stopped by {history.stop_reason}), best test MSE "
+          f"{history.final_test_mse:.3e} at epoch {history.best_epoch}")
     return cfg, [args.dataset], [args.out, history_path]
 
 

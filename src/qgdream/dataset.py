@@ -77,11 +77,10 @@ def generate_dataset(prop, n, cap=0.5, seed=0):
     drawn = kept = 0
     while kept < n:
         w = rng.uniform(-1.0, 1.0, (CHUNK, 24))
-        values, valid = property_value_batch(w, prop)
-        # records are stored as float32, so each chunk is cast as it comes,
-        # and the cap applies to the label as stored
-        values = values.astype(np.float32)
-        mask = valid if cap is None else valid & (values < cap)
+        # records are stored as float32, so each chunk is cast as it comes and
+        # the cap applies to the label as stored; a NaN label passes no cap
+        values = property_value_batch(w, prop).astype(np.float32)
+        mask = ~np.isnan(values) if cap is None else values < cap
         rows = np.flatnonzero(mask)[:n - kept]
         inputs[kept:kept + len(rows)] = w[rows]
         labels[kept:kept + len(rows)] = values[rows]

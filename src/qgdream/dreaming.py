@@ -38,8 +38,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
+from .edges import N_EDGES
 from .nn import Adam, input_gradient, resolve_selection, selected_output
-from .states import DegenerateStateError, Property, property_gradient, property_value, random_graph
+from .states import Property, property_gradient, property_value, random_graph
 
 
 @dataclass
@@ -113,15 +114,6 @@ class DreamEnsembleResult:
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-def _true_value(weights, prop):
-    if prop is None:
-        return math.nan
-    try:
-        return property_value(weights, prop)
-    except DegenerateStateError:
-        return math.nan
-
-
 def _clamp(x):
     """np.clip(x, -1, 1, out=x) as two in-place ufuncs: the same bits, signed
     zeros and NaN included, without np.clip's Python wrappers."""
@@ -179,7 +171,7 @@ def dream(model, g0, prop, cfg):
     steps, graphs = _dream_rows(model, g0, cfg)
     graphs = graphs[:, 0]
     return DreamTrajectory(prop, [
-        Snapshot(step, g, float(value), _true_value(g, prop))
+        Snapshot(step, g, float(value), math.nan if prop is None else property_value(g, prop))
         for step, g, value in zip(steps, graphs, selected_output(model, graphs))])
 
 
@@ -188,14 +180,17 @@ def dream_oracle(g0, prop, cfg):
     """Ascent on the true property gradient; no network involved.
 
     Validates the dreaming pipeline independently of any trained model.
+    Every snapshot's true value is property_value's, NaN where undefined.
+    A degenerate start raises DegenerateStateError from the first gradient,
+    before any step.
     """
     prop = Property(prop)
-    # raises DegenerateStateError on a degenerate start, before any step
-    values = [property_value(g0, prop)]
+    g0 = np.reshape(g0, N_EDGES)  # one graph: x[0] below would cut off any other row
     steps, graphs = _ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
-    values += [property_value(g, prop) for g in graphs[1:, 0]]
+    graphs = graphs[:, 0]
+    values = [property_value(g, prop) for g in graphs]
     return DreamTrajectory(prop, [Snapshot(step, g, value, value)
-                                  for step, g, value in zip(steps, graphs[:, 0], values)])
+                                  for step, g, value in zip(steps, graphs, values)])
 
 
 def run_seeds(seed, n):
@@ -221,8 +216,8 @@ def dream_ensemble(model, prop, n_runs, cfg):
         raise ValueError("n_runs must be >= 1")
     _, graphs = _dream_rows(model, _random_starts(cfg.seed, n_runs),
                             replace(cfg, snapshot_stride=cfg.steps))
-    initial = np.array([_true_value(g, prop) for g in graphs[0]])
-    final = np.array([_true_value(g, prop) for g in graphs[-1]])
+    initial = np.array([property_value(g, prop) for g in graphs[0]])
+    final = np.array([property_value(g, prop) for g in graphs[-1]])
     failed = np.isnan(initial) | np.isnan(final)
     if failed.all():
         raise ValueError(f"all {n_runs} runs of the ensemble failed (degenerate or non-finite)")

@@ -80,6 +80,8 @@ class TrainHistory:
     train_mse: list[float] = field(default_factory=list)
     test_mse: list[float] = field(default_factory=list)
     learning_rate: list[float] = field(default_factory=list)
+    best_epoch: int = 0       # 1-based epoch of the best test MSE; 0 before any
+    stop_reason: str = ""     # "patience" or "max_epochs" once train returns
 
     @property
     def epochs_run(self):
@@ -446,7 +448,9 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     decays the learning rate by LR_DECAY whenever the best test MSE has not
     improved by PLATEAU_REL_TOL (relative) over PLATEAU_WINDOW epochs, and
     stops once no new best test MSE appears for config.convergence_patience
-    epochs or config.max_epochs is hit. Returns (best model, history).
+    epochs or config.max_epochs is hit. Returns (best model, history);
+    history.best_epoch is the best model's epoch and history.stop_reason
+    names the limit that stopped training.
 
     The model, its Adam state and the test evaluation are float64. Each
     batch's forward and backward passes run in float32, on a float32 shadow
@@ -495,7 +499,6 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
     lr = cfg.lr_init
     history = TrainHistory()
     best_mse, best = np.inf, None
-    best_epoch = 0
     window_best = np.inf
     batch = min(cfg.batch_size, len(x_train))
 
@@ -520,14 +523,17 @@ def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0
         history.learning_rate.append(lr)
         if test_mse < best_mse:
             best_mse = test_mse
-            best_epoch = epoch
+            history.best_epoch = epoch
             best = master.copy()
         if epoch % PLATEAU_WINDOW == 0:
             if best_mse > window_best * (1.0 - PLATEAU_REL_TOL):
                 lr *= LR_DECAY
             window_best = best_mse
-        if epoch - best_epoch >= cfg.convergence_patience:
+        if epoch - history.best_epoch >= cfg.convergence_patience:
+            history.stop_reason = "patience"
             break
+    else:
+        history.stop_reason = "max_epochs"
 
     model.weights, model.biases = ([p.copy() for p in ps] for ps in _layer_views(best, sizes))
     return model, history

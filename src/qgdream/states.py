@@ -163,19 +163,18 @@ def pm_probability_array(graph):
 
 
 def property_value(graph, prop):
-    """Evaluate one of the trained target properties on a graph."""
+    """One of the trained target properties of a graph; NaN if its state is degenerate."""
     prop = Property(prop)
-    if prop in _TARGETS:
-        return fidelity(graph, _TARGETS[prop])
-    return mean_purity(normalize_state(build_state(graph)))
+    try:
+        s = normalize_state(build_state(graph))
+    except DegenerateStateError:
+        return np.nan
+    target = _TARGETS.get(prop)
+    return mean_purity(s) if target is None else float(np.dot(s, target) ** 2)
 
 
 def property_value_batch(weights, prop):
-    """Vectorized property_value over (n, 24) weights.
-
-    Returns (values, valid) where valid is False for degenerate states
-    (their value entry is 0 and must be ignored).
-    """
+    """Vectorized property_value over (n, 24) weights: (n,) values, NaN where degenerate."""
     prop = Property(prop)
     w = _graph(weights, batch=True)
     states = kernels.build_state_batch(w)
@@ -198,7 +197,7 @@ def property_value_batch(weights, prop):
                     if k > i:
                         acc += gram  # the mirror entry (k, i)
         values = acc / len(BIPARTITIONS)
-    return np.where(valid, values, 0.0), valid
+    return np.where(valid, values, np.nan)
 
 
 def property_gradient(graph, prop):

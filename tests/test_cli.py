@@ -77,6 +77,20 @@ def test_train_subcommand(workspace, tmp_path):
     assert manifest["input.0"] == str(ds)
 
 
+def test_train_summary_names_stop_reason_and_best_epoch(workspace, tmp_path, capsys):
+    root, ds, _ = workspace
+    out = tmp_path / "capped.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,8,1",
+                 "--batch-size", "500", "--max-epochs", "3", "--patience", "3",
+                 "--seed", "1", "--out", str(out)]) == 0
+    with open(str(out) + ".history.csv", newline="") as f:
+        test_mse = [float(row["test_mse"]) for row in csv.DictReader(f)]
+    best_epoch = 1 + int(np.argmin(test_mse))
+    summary = capsys.readouterr().out
+    assert "3 epochs (stopped by max_epochs)" in summary
+    assert summary.rstrip().endswith(f"at epoch {best_epoch}")
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     root, ds, _ = workspace
     args = ["train", "--dataset", str(ds), "--layers", "24,8,1",

@@ -82,6 +82,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match=rule):
             generate_dataset("ghz_fidelity", 10, cap=cap, seed=0)
 
+    @pytest.mark.parametrize("cap", [None, 0.5])
+    def test_nan_labels_never_kept(self, monkeypatch, cap):
+        # a degenerate graph's label is NaN; no cap, or none, may keep it
+        def half_nan(w, prop):
+            return np.where(w[:, 0] < 0.0, np.nan, 0.25)
+
+        monkeypatch.setattr(dataset, "property_value_batch", half_nan)
+        ds = generate_dataset("ghz_fidelity", 500, cap=cap, seed=2)
+        assert len(ds) == 500 and np.all(ds.labels == 0.25)
+        assert np.all(ds.inputs[:, 0] >= 0.0)
+
     def test_cap_one_keeps_every_valid_record(self):
         ds = generate_dataset("w_fidelity", 300, cap=1.0, seed=8)
         assert len(ds) == 300 and ds.inputs.dtype == ds.labels.dtype == np.float32

@@ -114,6 +114,10 @@ class TestDreamOracle:
         with pytest.raises(DegenerateStateError):
             dream_oracle(np.zeros(24), Property.GHZ_FIDELITY, small_cfg())
 
+    def test_start_of_more_than_one_graph_rejected(self):
+        with pytest.raises(ValueError):
+            dream_oracle(np.ones((2, 24)), Property.GHZ_FIDELITY, small_cfg())
+
 
 class TestDreamEnsemble:
     def test_single_run_equals_dream(self):

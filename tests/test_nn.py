@@ -542,6 +542,24 @@ class TestTrain:
         assert h1.test_mse == h2.test_mse
         assert h1.train_mse == h2.train_mse
 
+    def test_patience_stop_records_best_epoch(self):
+        # labels unrelated to the graphs: the test MSE soon stops improving
+        rng = np.random.default_rng(21)
+        x, y = rng.uniform(-1, 1, (400, 24)), rng.uniform(0, 1, 400)
+        cfg = TrainConfig(batch_size=100, lr_init=3e-2, seed=0, max_epochs=200,
+                          convergence_patience=3)
+        _, hist = train(x, y, [24, 8, 1], cfg)
+        assert hist.stop_reason == "patience"
+        assert hist.epochs_run == hist.best_epoch + cfg.convergence_patience < cfg.max_epochs
+        assert hist.test_mse[hist.best_epoch - 1] == hist.final_test_mse
+
+    def test_capped_run_records_max_epochs(self):
+        x, y = self.small_dataset(500, seed=3)
+        cfg = TrainConfig(batch_size=250, seed=2, max_epochs=4, convergence_patience=10)
+        _, hist = train(x, y, [24, 8, 1], cfg)
+        assert hist.stop_reason == "max_epochs" and hist.epochs_run == 4
+        assert hist.best_epoch == 1 + int(np.argmin(hist.test_mse))
+
     def test_desk_scale_fit(self):
         # 10k samples, small net: sanity bar well above chance
         x, y = self.small_dataset(10_000, seed=4)
@@ -564,8 +582,8 @@ class TestTrain:
         idx = np.arange(0, 500, 2)
         mapped = nn._symmetry_mapped(x, idx, np.random.default_rng(0))
         assert not np.array_equal(mapped, x[idx])
-        values, valid = property_value_batch(mapped, Property.GHZ_FIDELITY)
-        assert valid.all()
+        values = property_value_batch(mapped, Property.GHZ_FIDELITY)
+        assert not np.isnan(values).any()
         assert np.max(np.abs(values - y[idx])) < 1e-6
 
     @pytest.mark.parametrize("strided", [False, True])
