@@ -61,9 +61,9 @@ def entropy_profile(model, k_inits=20, cfg=None):
     every start) and one neuron_entropy call. Neurons whose entropy is
     undefined (NaN: their dreams all produce zero PM arrays, or some went
     non-finite) are excluded from the layer mean and counted in
-    dead_neurons. Per-neuron dream seeds are derived from cfg.seed and the
-    (layer, neuron) coordinates. Raises ValueError for a net without a
-    hidden layer.
+    dead_neurons. Layer l's starts are the rows of one generator keyed by
+    (cfg.seed, l), k_inits consecutive rows per neuron (see dream_layer).
+    Raises ValueError for a net without a hidden layer.
     """
     if model.n_layers < 2:
         raise ValueError(f"layer sizes {model.layer_sizes} have no hidden layer to profile")

@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from .edges import N_EDGES
 from .nn import Adam, input_gradient, resolve_selection, selected_output
-from .states import Property, property_gradient, property_value, random_graph
+from .states import Property, property_gradient, property_value
 
 
 @dataclass
@@ -168,6 +168,7 @@ def dream(model, g0, prop, cfg):
     """
     if prop is not None:
         prop = Property(prop)
+    g0 = np.reshape(g0, N_EDGES)  # one graph: graphs[:, 0] below would drop any other row
     steps, graphs = _dream_rows(model, g0, cfg)
     graphs = graphs[:, 0]
     return DreamTrajectory(prop, [
@@ -193,23 +194,20 @@ def dream_oracle(g0, prop, cfg):
                                   for step, g, value in zip(steps, graphs, values)])
 
 
-def run_seeds(seed, n):
-    """Independent per-run seed streams derived from one base seed."""
-    return np.random.SeedSequence(seed).spawn(n)
-
-
-def _random_starts(seed, n):
-    """n random start graphs, one per seed stream of run_seeds(seed, n)."""
-    return np.array([random_graph(np.random.default_rng(seq)) for seq in run_seeds(seed, n)])
+def _random_starts(key, n):
+    """n random start graphs, the rows of one generator seeded with key: row
+    r does not depend on n, and row 0 is states.random_graph(key)."""
+    return np.random.default_rng(key).uniform(-1.0, 1.0, (n, N_EDGES))
 
 
 @_quiet
 def dream_ensemble(model, prop, n_runs, cfg):
     """n_runs independent dreams from random starts, as one batch.
 
-    Runs whose initial or final state is degenerate or not finite are
-    recorded in `failures` by run index and excluded from the aggregates.
-    Raises ValueError if every run fails.
+    Run r starts from row r of _random_starts(cfg.seed, n_runs), so run 0 is
+    dream from random_graph(cfg.seed). Runs whose initial or final state is
+    degenerate or not finite are recorded in `failures` by run index and
+    excluded from the aggregates. Raises ValueError if every run fails.
     """
     prop = Property(prop)
     if n_runs < 1:
@@ -235,10 +233,11 @@ def _final_dreams(model, starts, cfg, select):
 def dream_neuron(model, select, k_inits, cfg):
     """Dream on one neuron from k_inits random starts, as one batch.
 
-    select is the (layer, neuron) pair of nn.input_gradient: layer l <
-    n_layers is the l-th hidden layer, whose neuron is dreamed on after its
-    activation, and layer n_layers the output layer. Returns the final
-    graphs (k_inits, 24) and their PM probability arrays (k_inits, 3, 16).
+    Start i is row i of _random_starts(cfg.seed, k_inits). select is the
+    (layer, neuron) pair of nn.input_gradient: layer l < n_layers is the
+    l-th hidden layer, whose neuron is dreamed on after its activation, and
+    layer n_layers the output layer. Returns the final graphs (k_inits, 24)
+    and their PM probability arrays (k_inits, 3, 16).
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
@@ -248,18 +247,16 @@ def dream_neuron(model, select, k_inits, cfg):
 def dream_layer(model, layer, k_inits, cfg):
     """Dream on every neuron of one layer from k_inits starts each, as one batch.
 
-    Neuron j's starts are those of dream_neuron with the seed derived from
-    (cfg.seed, layer, j), so its results equal dream_neuron's for that
-    seed. Returns dream_neuron's two arrays, each with a leading neuron axis.
+    The starts are the n_neurons * k_inits rows of _random_starts keyed by
+    (cfg.seed, layer); neuron j takes rows j*k_inits .. (j+1)*k_inits - 1.
+    Returns dream_neuron's two arrays, each with a leading neuron axis.
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
     if not 1 <= layer <= model.n_layers:
         raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")
     n_neurons = model.layer_sizes[layer]
-    seeds = [int(np.random.SeedSequence([cfg.seed, layer, j]).generate_state(1)[0])
-             for j in range(n_neurons)]
-    starts = np.concatenate([_random_starts(seed, k_inits) for seed in seeds])
+    starts = _random_starts([cfg.seed, layer], n_neurons * k_inits)
     graphs, pms = _final_dreams(model, starts, cfg,
                                 (layer, np.repeat(np.arange(n_neurons), k_inits)))
     return graphs.reshape(n_neurons, k_inits, -1), pms.reshape(n_neurons, k_inits, 3, 16)

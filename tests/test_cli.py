@@ -126,6 +126,18 @@ def test_dream_ensemble_and_shift(workspace, tmp_path):
     assert "mean_final" in text and "fraction_above_0.5" in text
 
 
+def test_single_run_is_run_0_of_ensemble(workspace, tmp_path):
+    _, _, ckpt = workspace
+    common = ["dream", "--checkpoint", str(ckpt), "--property", "ghz_fidelity",
+              "--steps", "10", "--seed", "8"]
+    traj, ens = tmp_path / "traj.csv", tmp_path / "ens.csv"
+    assert main(common + ["--runs", "1", "--out", str(traj)]) == 0
+    assert main(common + ["--runs", "3", "--out", str(ens)]) == 0
+    final_row = traj.read_text().splitlines()[-1].split(",")
+    run_0 = ens.read_text().splitlines()[1].split(",")
+    assert run_0[0] == "0" and final_row[-1] == run_0[2]
+
+
 def test_every_run_failed_error_exit(workspace, tmp_path, capsys):
     # this used to write a header-only table and exit 0 after NaN means;
     # the overflow that fails the runs prints no numpy warning

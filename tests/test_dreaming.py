@@ -11,12 +11,12 @@ from qgdream.dreaming import (
     _ascend,
     _clamp,
     _dream_rows,
+    _random_starts,
     dream,
     dream_ensemble,
     dream_layer,
     dream_neuron,
     dream_oracle,
-    run_seeds,
 )
 from qgdream.nn import init_mlp, input_gradient, resolve_selection, selected_output
 from qgdream.states import (
@@ -115,6 +115,9 @@ class TestDreamOracle:
             dream_oracle(np.zeros(24), Property.GHZ_FIDELITY, small_cfg())
 
     def test_start_of_more_than_one_graph_rejected(self):
+        m = init_mlp([24, 4, 1], seed=0)
+        with pytest.raises(ValueError):
+            dream(m, np.ones((2, 24)), Property.GHZ_FIDELITY, small_cfg())
         with pytest.raises(ValueError):
             dream_oracle(np.ones((2, 24)), Property.GHZ_FIDELITY, small_cfg())
 
@@ -124,12 +127,19 @@ class TestDreamEnsemble:
         m = init_mlp([24, 8, 1], seed=7)
         cfg = small_cfg(steps=30)
         result = dream_ensemble(m, Property.GHZ_FIDELITY, 1, cfg)
-        from qgdream.dreaming import run_seeds
-        g0 = random_graph(np.random.default_rng(run_seeds(cfg.seed, 1)[0]))
-        solo = dream(m, g0, Property.GHZ_FIDELITY,
+        solo = dream(m, random_graph(cfg.seed), Property.GHZ_FIDELITY,
                      small_cfg(steps=30, snapshot_stride=30))
         assert result.final_true[0] == solo.final.true_value
         assert np.array_equal(result.final_graphs[0], solo.final.weights)
+
+    def test_first_runs_equal_smaller_ensemble(self):
+        m = init_mlp([24, 8, 1], seed=8)
+        small = dream_ensemble(m, Property.GHZ_FIDELITY, 3, small_cfg(steps=20))
+        large = dream_ensemble(m, Property.GHZ_FIDELITY, 5, small_cfg(steps=20))
+        assert small.failures == large.failures == []
+        assert np.array_equal(large.initial_true[:3], small.initial_true)
+        assert np.array_equal(large.final_true[:3], small.final_true)
+        assert np.array_equal(large.final_graphs[:3], small.final_graphs)
 
     def test_reproducible(self):
         m = init_mlp([24, 8, 1], seed=8)
@@ -170,9 +180,7 @@ class TestDreamNeuron:
         m = init_mlp([24, 6, 1], seed=11)
         cfg = small_cfg(steps=25)
         graphs, _ = dream_neuron(m, (2, 0), 3, cfg)
-        from qgdream.dreaming import run_seeds
-        for seq, graph in zip(run_seeds(cfg.seed, 3), graphs):
-            g0 = random_graph(np.random.default_rng(seq))
+        for g0, graph in zip(_random_starts(cfg.seed, 3), graphs):
             solo = dream(m, g0, None, cfg)
             assert np.array_equal(solo.final.weights, graph)
 
@@ -181,12 +189,13 @@ class TestDreamNeuron:
         cfg = small_cfg(steps=20, lr=5e-2, seed=4)
         graphs, pms = dream_layer(m, 2, 3, cfg)
         assert graphs.shape == (5, 3, 24) and pms.shape == (5, 3, 3, 16)
+        starts = _random_starts([cfg.seed, 2], 5 * 3).reshape(5, 3, 24)
         for j in range(5):
-            seed = int(np.random.SeedSequence([cfg.seed, 2, j]).generate_state(1)[0])
-            neuron_graphs, neuron_pms = dream_neuron(m, (2, j), 3, small_cfg(
-                steps=20, lr=5e-2, seed=seed))
-            assert np.array_equal(graphs[j], neuron_graphs)
-            assert np.array_equal(pms[j], neuron_pms)
+            truncated = truncate_at_neuron(m, 2, j)
+            for i, start in enumerate(starts[j]):
+                solo = dream(truncated, start, None, cfg).final.weights
+                assert np.array_equal(graphs[j, i], solo)
+                assert np.array_equal(pms[j, i], pm_probability_array(solo))
 
     def test_model_frozen(self):
         m = init_mlp([24, 6, 6, 1], seed=12)
@@ -203,9 +212,8 @@ class TestRowExactness:
         cfg = small_cfg(steps=40, lr=5e-2)
         result = dream_ensemble(m, Property.GHZ_FIDELITY, 5, cfg)
         assert result.failures == [] and result.runs == [0, 1, 2, 3, 4]
-        for run, seq in enumerate(run_seeds(cfg.seed, 5)):
-            solo = dream(m, random_graph(np.random.default_rng(seq)),
-                         Property.GHZ_FIDELITY, cfg)
+        for run, g0 in enumerate(_random_starts(cfg.seed, 5)):
+            solo = dream(m, g0, Property.GHZ_FIDELITY, cfg)
             assert result.initial_true[run] == solo.initial.true_value
             assert result.final_true[run] == solo.final.true_value
             assert np.array_equal(result.final_graphs[run], solo.final.weights)
@@ -232,13 +240,12 @@ class TestRowExactness:
         profile = entropy_profile(m, k_inits=3, cfg=cfg)
         for layer in (1, 2):
             values = []
+            starts = _random_starts([cfg.seed, layer], m.layer_sizes[layer] * 3)
             for neuron in range(m.layer_sizes[layer]):
-                seed = np.random.SeedSequence([cfg.seed, layer, neuron]).generate_state(1)[0]
                 truncated = truncate_at_neuron(m, layer, neuron)
                 arrays = []
-                for seq in run_seeds(int(seed), 3):
-                    solo = dream(truncated, random_graph(np.random.default_rng(seq)),
-                                 None, cfg)
+                for g0 in starts[3 * neuron:3 * (neuron + 1)]:
+                    solo = dream(truncated, g0, None, cfg)
                     arrays.append(pm_probability_array(solo.final.weights))
                 expected = neuron_entropy(arrays)
                 if math.isnan(expected):
