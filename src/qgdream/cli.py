@@ -299,8 +299,8 @@ def main(argv=None):
     try:
         args, cfg = _resolve(argv)
         cfg, inputs, outputs = _COMMANDS[args.command](args, cfg)
-    except (OSError, ValueError, RuntimeError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a list's has no text
         return 1
     write_manifest(f"{args.out}.manifest", args.command, cfg, inputs, outputs,
                    time.perf_counter() - start)

@@ -10,7 +10,8 @@ reads of them. dream and dream_oracle ascend one row, dream_ensemble all
 its runs, dream_neuron all its starts, and dream_layer every neuron x
 every start of a hidden layer, where row r ascends on its own neuron. The
 network side is nn.input_gradient with a per-row (layer, neuron)
-selection, which shares the prefix layers between rows.
+selection, which shares the prefix layers between rows. True values come
+from one states.property_value call per frame of graphs.
 
 Per-dream invariants are resolved once, before the first step, so that a
 step costs about its arithmetic: _dream_rows resolves the selection
@@ -28,6 +29,7 @@ bits it gets alone in a zero-padded block, and each row's selected neuron
 as one product per row. A plain batched gemm would differ from the lone
 rows in the last bits (and from one batch size to another), which would
 break reproducibility across ensemble sizes and the exact-equality tests.
+states.property_value is row-exact too.
 """
 
 from __future__ import annotations
@@ -171,9 +173,10 @@ def dream(model, g0, prop, cfg):
     g0 = np.reshape(g0, N_EDGES)  # one graph: graphs[:, 0] below would drop any other row
     steps, graphs = _dream_rows(model, g0, cfg)
     graphs = graphs[:, 0]
-    return DreamTrajectory(prop, [
-        Snapshot(step, g, float(value), math.nan if prop is None else property_value(g, prop))
-        for step, g, value in zip(steps, graphs, selected_output(model, graphs))])
+    predicted = selected_output(model, graphs).tolist()
+    true = [math.nan] * len(steps) if prop is None else property_value(graphs, prop).tolist()
+    return DreamTrajectory(prop, [Snapshot(step, g, p, t)
+                                  for step, g, p, t in zip(steps, graphs, predicted, true)])
 
 
 @_quiet
@@ -189,7 +192,7 @@ def dream_oracle(g0, prop, cfg):
     g0 = np.reshape(g0, N_EDGES)  # one graph: x[0] below would cut off any other row
     steps, graphs = _ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
     graphs = graphs[:, 0]
-    values = [property_value(g, prop) for g in graphs]
+    values = property_value(graphs, prop).tolist()
     return DreamTrajectory(prop, [Snapshot(step, g, value, value)
                                   for step, g, value in zip(steps, graphs, values)])
 
@@ -214,8 +217,7 @@ def dream_ensemble(model, prop, n_runs, cfg):
         raise ValueError("n_runs must be >= 1")
     _, graphs = _dream_rows(model, _random_starts(cfg.seed, n_runs),
                             replace(cfg, snapshot_stride=cfg.steps))
-    initial = np.array([property_value(g, prop) for g in graphs[0]])
-    final = np.array([property_value(g, prop) for g in graphs[-1]])
+    initial, final = property_value(graphs[0], prop), property_value(graphs[-1], prop)
     failed = np.isnan(initial) | np.isnan(final)
     if failed.all():
         raise ValueError(f"all {n_runs} runs of the ensemble failed (degenerate or non-finite)")

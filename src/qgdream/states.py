@@ -14,6 +14,9 @@ tr(rho_A^2) = sum((M M^T)^2). The batched mean purity gathers rows of the
 (16, n) transposed states through it, the purity gradient scatters
 4 M M^T M back through it with bincount, and reduced_purity builds the same
 kind of matrix for any other subset.
+
+Property values are rows of one row-exact batch path, and one graph is its
+n = 1 row; fidelity and mean_purity are its per-state reference.
 """
 
 from __future__ import annotations
@@ -162,30 +165,30 @@ def pm_probability_array(graph):
     return kernels.pm_probability_batch(_graph(graph)[None, :])[0]
 
 
-def property_value(graph, prop):
-    """One of the trained target properties of a graph; NaN if its state is degenerate."""
-    prop = Property(prop)
-    try:
-        s = normalize_state(build_state(graph))
-    except DegenerateStateError:
-        return np.nan
-    target = _TARGETS.get(prop)
-    return mean_purity(s) if target is None else float(np.dot(s, target) ** 2)
+def _values(w, prop):
+    """(n,) values of prop over the (n, 24) float64 weights w; NaN where the
+    state is degenerate or its norm is not finite.
 
-
-def property_value_batch(weights, prop):
-    """Vectorized property_value over (n, 24) weights: (n,) values, NaN where degenerate."""
-    prop = Property(prop)
-    w = _graph(weights, batch=True)
+    Row-exact: all but three steps act elementwise on the (16, n) states.
+    The norm einsum and the cut sums over axis 0 add a row's terms in a fixed
+    order from n = 2 on, so a lone row runs as a 2-row batch; the overlap
+    adds the target's nonzero kets in order, where a gemv's order depends on n.
+    """
+    if len(w) == 1:
+        return _values(np.concatenate([w, w]), prop)[:1]
     states = kernels.build_state_batch(w)
     norm2 = np.einsum("nk,nk->n", states, states)
-    valid = norm2 > EPS_NORM ** 2
+    valid = (norm2 > EPS_NORM ** 2) & (norm2 < np.inf)
     safe = np.where(valid, norm2, 1.0)
+    cols = states.T  # (16, n), one C-contiguous row per ket
     if prop in _TARGETS:
-        values = (states @ _TARGETS[prop]) ** 2 / safe
+        target = _TARGETS[prop]
+        overlap = np.zeros(len(w))
+        for ket in np.flatnonzero(target):
+            overlap += cols[ket] * target[ket]
+        values = overlap ** 2 / safe
     else:
-        # states.T is (16, n), one row per ket, so CUT_KETS gathers rows
-        cols = states.T / np.sqrt(safe)
+        cols = cols / np.sqrt(safe)
         acc = np.zeros(len(w))
         for kets in CUT_KETS.values():
             m = cols[kets]  # (2^|A|, 2^|B|, n)
@@ -198,6 +201,21 @@ def property_value_batch(weights, prop):
                         acc += gram  # the mirror entry (k, i)
         values = acc / len(BIPARTITIONS)
     return np.where(valid, values, np.nan)
+
+
+def property_value(graphs, prop):
+    """A trained target property: a float for one (24,) graph, (n,) values
+    for (n, 24) graphs, NaN where the state is degenerate or not finite. One
+    graph's value has the bits of its row in any batch."""
+    w = np.asarray(graphs, dtype=np.float64)
+    if w.ndim == 2:
+        return _values(_graph(w, batch=True), Property(prop))
+    return float(_values(_graph(w)[None], Property(prop))[0])
+
+
+def property_value_batch(weights, prop):
+    """property_value of (n, 24) weights: (n,) values."""
+    return _values(_graph(weights, batch=True), Property(prop))
 
 
 def property_gradient(graph, prop):

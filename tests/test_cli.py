@@ -515,6 +515,22 @@ def test_gen_seed_beyond_header_error_exit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "dream"])
+def test_out_of_memory_error_exit(workspace, tmp_path, capsys, command):
+    # both used to end in a MemoryError traceback. The sizes lie beyond any
+    # address space, so numpy (the gen records) and list (the dream's
+    # snapshot steps) refuse them at allocation and no memory is touched
+    _, _, ckpt = workspace
+    out = tmp_path / "out"
+    argv = {"gen": ["gen", "--n", str(10 ** 15)],
+            "dream": ["dream", "--checkpoint", str(ckpt), "--steps", str(10 ** 15),
+                      "--stride", "1"]}[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _mutated(data, cut, edits):
     """data cut to its first `cut` bytes, then each (position, byte) edit applied."""
     data = bytearray(data[:cut])

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,18 @@ class TestGenerate:
         ds = generate_dataset("ghz_fidelity", 500, cap=cap, seed=2)
         assert len(ds) == 500 and np.all(ds.labels == 0.25)
         assert np.all(ds.inputs[:, 0] >= 0.0)
+
+    @pytest.mark.parametrize("prop, digest", [
+        ("ghz_fidelity", "c95006d63c01c4c1490e7768eafd8020f101f5d5e4093082d2653ff9b6ec0336"),
+        ("w_fidelity", "f6303b9ca39baa83659ab4b2fc708f71a78ad26bfc85dd180f4d68df841f028a"),
+        ("mean_purity", "dad3d3a61536567e84b51ef26ec1a5b1a8e96de8183358826b1bc476e3420544"),
+    ])
+    def test_golden_file_bytes(self, tmp_path, prop, digest):
+        # pinned files: a change to the value arithmetic that moves a stored
+        # label, or a kept record, changes these bytes
+        path = tmp_path / "golden.qgdd"
+        write_dataset(generate_dataset(prop, 2000, cap=0.5, seed=3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_cap_one_keeps_every_valid_record(self):
         ds = generate_dataset("w_fidelity", 300, cap=1.0, seed=8)

@@ -129,6 +129,7 @@ class TestDreamEnsemble:
         result = dream_ensemble(m, Property.GHZ_FIDELITY, 1, cfg)
         solo = dream(m, random_graph(cfg.seed), Property.GHZ_FIDELITY,
                      small_cfg(steps=30, snapshot_stride=30))
+        assert result.initial_true[0] == solo.initial.true_value
         assert result.final_true[0] == solo.final.true_value
         assert np.array_equal(result.final_graphs[0], solo.final.weights)
 

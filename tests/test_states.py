@@ -258,7 +258,7 @@ class TestPropertyValue:
             values = property_value_batch(graphs, prop)
             assert not np.isnan(values).any()
             for g, v in zip(graphs, values):
-                assert v == pytest.approx(property_value(g, prop), abs=1e-12)
+                assert v == pytest.approx(reference_value(g, prop), abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(3, 25), (3, 23), (24,), (2, 3, 24)])
     def test_batch_wrong_shape_rejected(self, shape):
@@ -303,7 +303,7 @@ class TestPropertyValue:
             assert np.max(np.abs(brute_force_state(g[row]) - expected)) < 1e-12
 
     def test_batch_flags_degenerate(self):
-        # the rows property_value reads NaN read NaN here too
+        # the rows that normalize_state refuses read NaN
         graphs = np.zeros((5, 24))
         graphs[1] = GHZ_GRAPH
         graphs[3] = 1e-7 * GHZ_GRAPH
@@ -312,4 +312,60 @@ class TestPropertyValue:
             values = property_value_batch(graphs, prop)
             assert list(np.isnan(values)) == [True, False, True, True, False]
             for g, v in zip(graphs[[1, 4]], values[[1, 4]]):
-                assert abs(v - property_value(g, prop)) < 1e-12
+                assert abs(v - reference_value(g, prop)) < 1e-12
+
+    def test_non_finite_state_reads_nan(self):
+        # finite amplitudes whose norm overflows: an inf norm used to give
+        # 0.0 or, for one graph's mean purity, raise "not unit-norm"
+        graphs = np.array([1e80 * GHZ_GRAPH, np.full(24, np.inf), np.full(24, np.nan)])
+        for prop in Property:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(property_value_batch(graphs, prop)).all()
+                assert all(math.isnan(property_value(g, prop)) for g in graphs)
+
+
+def reference_value(graph, prop):
+    """A property value through the state-level functions, one graph at a time."""
+    if Property(prop) is Property.MEAN_PURITY:
+        return mean_purity(normalize_state(build_state(graph)))
+    target = GHZ_STATE if Property(prop) is Property.GHZ_FIDELITY else W_STATE
+    return fidelity(graph, target)
+
+
+class TestRowExact:
+    """Each row of a batch has the bits of its graph's lone property_value.
+
+    Batches of every size below start at each of offsets 0-7 of one pool of
+    graphs. The pool mixes random graphs with zero-heavy and degenerate ones,
+    whose NaN must match too (compared as bytes, so NaN equals NaN).
+    """
+
+    SIZES = [*range(1, 40), 63, 64, 65, 127, 128, 129, 255, 1000]
+
+    @staticmethod
+    def pool():
+        rng = np.random.default_rng(20)
+        pool = rng.uniform(-1.0, 1.0, (1007, 24))
+        sparse = pool[::3]  # a view: every third row is zero-heavy
+        sparse[rng.random(sparse.shape) < 0.8] = 0.0
+        pool[5::11] = 0.0
+        pool[7::11] = -0.0
+        pool[9::13] = 1e-7 * GHZ_GRAPH
+        pool[10::13] = GHZ_GRAPH
+        pool[12::17] = single_h_graph()
+        pool[13::17] = np.ones(24)
+        return pool
+
+    @pytest.mark.parametrize("prop", list(Property))
+    def test_every_row_equals_its_lone_call(self, prop):
+        pool = self.pool()
+        lone = [property_value(g, prop) for g in pool]
+        assert all(type(v) is float for v in lone)
+        lone = np.array(lone)
+        assert np.isnan(lone).any() and not np.isnan(lone).all()
+        for n in self.SIZES:
+            for offset in range(8):
+                rows = pool[offset:offset + n]
+                expected = lone[offset:offset + n].tobytes()
+                assert property_value_batch(rows, prop).tobytes() == expected, (n, offset)
+                assert property_value(rows, prop).tobytes() == expected, (n, offset)
