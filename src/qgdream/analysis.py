@@ -45,13 +45,18 @@ def neuron_entropy(arrays):
 
 @dataclass
 class EntropyProfile:
-    per_neuron: dict  # (layer, neuron) -> entropy (nan when undefined)
-    per_layer: list[float]       # mean over defined neurons; nan if none
-    dead_neurons: list[int]      # per layer, count of undefined-entropy neurons
+    entropies: list[np.ndarray]  # per hidden layer, (n_neurons,); nan where undefined
 
-    def rows(self):
-        """Sorted (layer, neuron, entropy) triples."""
-        return [(lay, neu, h) for (lay, neu), h in sorted(self.per_neuron.items())]
+    @property
+    def per_layer(self):
+        """Per layer, the mean entropy of its defined neurons; nan if none."""
+        defined = [h[~np.isnan(h)] for h in self.entropies]
+        return [float(np.mean(d)) if len(d) else float("nan") for d in defined]
+
+    @property
+    def dead_neurons(self):
+        """Per layer, the count of undefined-entropy neurons."""
+        return [int(np.count_nonzero(np.isnan(h))) for h in self.entropies]
 
 
 def entropy_profile(model, k_inits=20, cfg=None):
@@ -68,16 +73,8 @@ def entropy_profile(model, k_inits=20, cfg=None):
     if model.n_layers < 2:
         raise ValueError(f"layer sizes {model.layer_sizes} have no hidden layer to profile")
     cfg = cfg or DreamConfig()
-    per_neuron = {}
-    per_layer, dead = [], []
-    for layer in range(1, model.n_layers):
-        _, pms = dream_layer(model, layer, k_inits, cfg)
-        h = neuron_entropy(pms)
-        per_neuron.update({(layer, neuron): v for neuron, v in enumerate(h.tolist())})
-        defined = h[~np.isnan(h)]
-        per_layer.append(float(np.mean(defined)) if len(defined) else float("nan"))
-        dead.append(len(h) - len(defined))
-    return EntropyProfile(per_neuron, per_layer, dead)
+    return EntropyProfile([neuron_entropy(dream_layer(model, layer, k_inits, cfg)[1])
+                           for layer in range(1, model.n_layers)])
 
 
 @dataclass

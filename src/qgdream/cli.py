@@ -229,8 +229,9 @@ def cmd_dream(args, cfg):
     else:
         result = dreaming.dream_ensemble(model, cfg["prop"], cfg["runs"], dcfg)
         tables.write_ensemble(result, args.out)
-        print(f"ensemble of {cfg['runs']}: mean true {result.mean_initial:.4f} "
-              f"-> {result.mean_final:.4f}, {len(result.failures)} failures")
+        report = analysis.shift_report(result.initial_true, result.final_true)
+        print(f"ensemble of {cfg['runs']}: mean true {report.mean_initial:.4f} "
+              f"-> {report.mean_final:.4f}, {len(result.failures)} failures")
     return cfg, inputs, [args.out]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Property, property_value_batch
+from .states import Property, property_value_batch, random_graph
 
 MAGIC = b"QGDD"
 VERSION = 1
@@ -76,7 +76,7 @@ def generate_dataset(prop, n, cap=0.5, seed=0):
     labels = np.empty(n, dtype=np.float32)
     drawn = kept = 0
     while kept < n:
-        w = rng.uniform(-1.0, 1.0, (CHUNK, 24))
+        w = random_graph(rng, CHUNK)
         # records are stored as float32, so each chunk is cast as it comes and
         # the cap applies to the label as stored; a NaN label passes no cap
         values = property_value_batch(w, prop).astype(np.float32)

@@ -42,7 +42,7 @@ import numpy as np
 from . import kernels
 from .edges import N_EDGES
 from .nn import Adam, input_gradient, resolve_selection, selected_output
-from .states import Property, property_gradient, property_value
+from .states import Property, property_gradient, property_value, random_graph
 
 
 @dataclass
@@ -97,17 +97,6 @@ class DreamEnsembleResult:
         failed = set(self.failures)
         total = len(self.final_true) + len(failed)
         return [run for run in range(total) if run not in failed]
-
-    @property
-    def mean_initial(self):
-        return float(np.mean(self.initial_true))
-
-    @property
-    def mean_final(self):
-        return float(np.mean(self.final_true))
-
-    def fraction_above(self, cap=0.5):
-        return float(np.mean(self.final_true > cap))
 
 
 # An unclamped dream may overflow into inf/NaN graphs. The run then fails
@@ -165,8 +154,9 @@ def _dream_rows(model, x0, cfg, select=None):
 def dream(model, g0, prop, cfg):
     """Maximize the frozen model's output by ascent on the input graph.
 
-    prop selects the true property recomputed at snapshots (None skips it,
-    e.g. for hidden-neuron dreams where no ground truth exists).
+    prop selects the true property recomputed at snapshots; None skips it,
+    for a net whose output is no states property (hidden neurons are
+    dreamed by dream_neuron and dream_layer).
     """
     if prop is not None:
         prop = Property(prop)
@@ -184,9 +174,9 @@ def dream_oracle(g0, prop, cfg):
     """Ascent on the true property gradient; no network involved.
 
     Validates the dreaming pipeline independently of any trained model.
-    Every snapshot's true value is property_value's, NaN where undefined.
-    A degenerate start raises DegenerateStateError from the first gradient,
-    before any step.
+    Every snapshot's true value is property_value's. A start, or a graph an
+    unclamped step reaches, whose state is degenerate or not finite raises
+    DegenerateStateError from its gradient.
     """
     prop = Property(prop)
     g0 = np.reshape(g0, N_EDGES)  # one graph: x[0] below would cut off any other row
@@ -197,25 +187,20 @@ def dream_oracle(g0, prop, cfg):
                                   for step, g, value in zip(steps, graphs, values)])
 
 
-def _random_starts(key, n):
-    """n random start graphs, the rows of one generator seeded with key: row
-    r does not depend on n, and row 0 is states.random_graph(key)."""
-    return np.random.default_rng(key).uniform(-1.0, 1.0, (n, N_EDGES))
-
-
 @_quiet
 def dream_ensemble(model, prop, n_runs, cfg):
     """n_runs independent dreams from random starts, as one batch.
 
-    Run r starts from row r of _random_starts(cfg.seed, n_runs), so run 0 is
+    Run r starts from row r of random_graph(cfg.seed, n_runs), so run 0 is
     dream from random_graph(cfg.seed). Runs whose initial or final state is
     degenerate or not finite are recorded in `failures` by run index and
-    excluded from the aggregates. Raises ValueError if every run fails.
+    left out of the arrays, so out of analysis.shift_report's statistics.
+    Raises ValueError if every run fails.
     """
     prop = Property(prop)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    _, graphs = _dream_rows(model, _random_starts(cfg.seed, n_runs),
+    _, graphs = _dream_rows(model, random_graph(cfg.seed, n_runs),
                             replace(cfg, snapshot_stride=cfg.steps))
     initial, final = property_value(graphs[0], prop), property_value(graphs[-1], prop)
     failed = np.isnan(initial) | np.isnan(final)
@@ -235,7 +220,7 @@ def _final_dreams(model, starts, cfg, select):
 def dream_neuron(model, select, k_inits, cfg):
     """Dream on one neuron from k_inits random starts, as one batch.
 
-    Start i is row i of _random_starts(cfg.seed, k_inits). select is the
+    Start i is row i of random_graph(cfg.seed, k_inits). select is the
     (layer, neuron) pair of nn.input_gradient: layer l < n_layers is the
     l-th hidden layer, whose neuron is dreamed on after its activation, and
     layer n_layers the output layer. Returns the final graphs (k_inits, 24)
@@ -243,13 +228,13 @@ def dream_neuron(model, select, k_inits, cfg):
     """
     if k_inits < 1:
         raise ValueError("k_inits must be >= 1")
-    return _final_dreams(model, _random_starts(cfg.seed, k_inits), cfg, select)
+    return _final_dreams(model, random_graph(cfg.seed, k_inits), cfg, select)
 
 
 def dream_layer(model, layer, k_inits, cfg):
     """Dream on every neuron of one layer from k_inits starts each, as one batch.
 
-    The starts are the n_neurons * k_inits rows of _random_starts keyed by
+    The starts are the n_neurons * k_inits rows of random_graph keyed by
     (cfg.seed, layer); neuron j takes rows j*k_inits .. (j+1)*k_inits - 1.
     Returns dream_neuron's two arrays, each with a leading neuron axis.
     """
@@ -258,7 +243,7 @@ def dream_layer(model, layer, k_inits, cfg):
     if not 1 <= layer <= model.n_layers:
         raise ValueError(f"layer {layer} out of range 1..{model.n_layers}")
     n_neurons = model.layer_sizes[layer]
-    starts = _random_starts([cfg.seed, layer], n_neurons * k_inits)
+    starts = random_graph([cfg.seed, layer], n_neurons * k_inits)
     graphs, pms = _final_dreams(model, starts, cfg,
                                 (layer, np.repeat(np.arange(n_neurons), k_inits)))
     return graphs.reshape(n_neurons, k_inits, -1), pms.reshape(n_neurons, k_inits, 3, 16)

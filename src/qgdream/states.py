@@ -99,10 +99,15 @@ GHZ_GRAPH[7] = 1.0   # (0,2) modes (1,1)
 GHZ_GRAPH[19] = 1.0  # (1,3) modes (1,1)
 
 
-def random_graph(seed_or_rng):
-    """24 i.i.d. uniform [-1, 1] edge weights; deterministic per seed."""
+def random_graph(seed_or_rng, n=None):
+    """24 i.i.d. uniform [-1, 1] edge weights; deterministic per seed.
+
+    With n, (n, 24) rows of the same draw: row r does not depend on n, and
+    row 0 is the lone graph. A Generator argument is advanced.
+    """
     # default_rng returns a Generator argument as it is
-    return np.random.default_rng(seed_or_rng).uniform(-1.0, 1.0, N_EDGES)
+    shape = N_EDGES if n is None else (n, N_EDGES)
+    return np.random.default_rng(seed_or_rng).uniform(-1.0, 1.0, shape)
 
 
 def _graph(graph, batch=False):
@@ -119,13 +124,19 @@ def build_state(graph):
     return kernels.build_state(_graph(graph))
 
 
+def _usable(norm2):
+    """EPS_NORM**2 < norm2 < inf: where a state's property values are defined."""
+    return (norm2 > EPS_NORM ** 2) & (norm2 < np.inf)
+
+
 def normalize_state(state):
-    """Scale to unit norm. Raises DegenerateStateError below EPS_NORM."""
+    """Scale to unit norm. Raises DegenerateStateError where property_value
+    reads NaN: norm below EPS_NORM or not finite."""
     s = np.asarray(state, dtype=np.float64)
-    norm = np.linalg.norm(s)
-    if norm <= EPS_NORM:
-        raise DegenerateStateError("state norm below threshold; graph creates no state")
-    return s / norm
+    norm2 = np.vdot(s, s)  # np.dot's bits, without its overflow warning
+    if not _usable(norm2):
+        raise DegenerateStateError("state norm below threshold or not finite")
+    return s / np.sqrt(norm2)
 
 
 def _check_normalized(state):
@@ -178,7 +189,7 @@ def _values(w, prop):
         return _values(np.concatenate([w, w]), prop)[:1]
     states = kernels.build_state_batch(w)
     norm2 = np.einsum("nk,nk->n", states, states)
-    valid = (norm2 > EPS_NORM ** 2) & (norm2 < np.inf)
+    valid = _usable(norm2)
     safe = np.where(valid, norm2, 1.0)
     cols = states.T  # (16, n), one C-contiguous row per ket
     if prop in _TARGETS:
@@ -219,16 +230,18 @@ def property_value_batch(weights, prop):
 
 
 def property_gradient(graph, prop):
-    """Exact gradient of property_value w.r.t. the 24 edge weights."""
+    """Exact gradient of property_value w.r.t. the 24 edge weights; raises
+    DegenerateStateError where property_value reads NaN."""
     prop = Property(prop)
     w = _graph(graph)
     s = kernels.build_state(w)
-    norm2 = float(np.dot(s, s))
-    if norm2 <= EPS_NORM ** 2:
-        raise DegenerateStateError("gradient undefined for a degenerate state")
+    # numpy scalars, so an overflow below reads inf, not a Python OverflowError
+    norm2 = np.vdot(s, s)
+    if not _usable(norm2):
+        raise DegenerateStateError("gradient undefined for a degenerate or non-finite state")
     target = _TARGETS.get(prop)
     if target is not None:
-        overlap = float(np.dot(s, target))
+        overlap = np.dot(s, target)
         grad_s = (2.0 * overlap / norm2) * target - (2.0 * overlap ** 2 / norm2 ** 2) * s
     else:
         norm = np.sqrt(norm2)

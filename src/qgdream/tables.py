@@ -82,8 +82,10 @@ def write_neuron_dreams(results, path):
 
 
 def write_entropy_profile(profile, path):
-    """Per-neuron rows plus per-layer summary rows (neuron = 'mean')."""
-    rows = [[layer, neuron, _fmt(h)] for layer, neuron, h in profile.rows()]
+    """Per-neuron rows, then per layer a 'mean' row (the mean entropy of its
+    defined neurons) and a 'dead' row (the count of undefined ones)."""
+    rows = [[layer, neuron, _fmt(h)] for layer, hs in enumerate(profile.entropies, 1)
+            for neuron, h in enumerate(hs.tolist())]
     for layer, (mean, dead) in enumerate(zip(profile.per_layer, profile.dead_neurons), 1):
         rows += [[layer, "mean", _fmt(mean)], [layer, "dead", dead]]
     _write_csv(path, ["layer", "neuron", "entropy"], rows)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_state, dense_reduced_purity, finite_difference
-from qgdream.analysis import MAX_ENTROPY, entropy_profile, neuron_entropy
+from qgdream.analysis import MAX_ENTROPY, entropy_profile, neuron_entropy, shift_report
 from qgdream.cli import main
 from qgdream.dataset import generate_dataset
 from qgdream.dreaming import DreamConfig, dream_ensemble, dream_oracle
@@ -162,11 +162,12 @@ def test_criterion_5_distribution_shift(trained_net):
     cfg = DreamConfig(steps=2000, lr=ENSEMBLE_LR, clamp=True, seed=0)
     res = dream_ensemble(model, Property.GHZ_FIDELITY, 200, cfg)
     elapsed = time.perf_counter() - t0
-    frac = res.fraction_above(0.5)
-    shift = res.mean_final - res.mean_initial
+    summary = shift_report(res.initial_true, res.final_true, cap=0.5)
+    frac = summary.fraction_above_cap
+    shift = summary.mean_final - summary.mean_initial
     ok = frac >= 0.40 and shift >= 0.30 and elapsed < 900.0 and not res.failures
     report(5, ok, f"{frac:.0%} of 200 finals above 0.5 (>=40%), "
-                  f"mean shift {res.mean_initial:.3f}->{res.mean_final:.3f} "
+                  f"mean shift {summary.mean_initial:.3f}->{summary.mean_final:.3f} "
                   f"(+{shift:.3f}, >=0.3), lr {ENSEMBLE_LR:g}, {elapsed / 60:.1f} min")
 
 
@@ -216,7 +217,7 @@ def test_criterion_7_entropy_machinery(ghz_dataset):
     model, _ = train(x, y, [24, 49, 49, 49, 49, 1], cfg)
     profile = entropy_profile(model, k_inits=10,
                               cfg=DreamConfig(steps=500, lr=1e-2, seed=0))
-    values = [h for h in profile.per_neuron.values() if not np.isnan(h)]
+    values = [h for h in np.concatenate(profile.entropies) if not np.isnan(h)]
     in_range = all(0.0 <= h <= MAX_ENTROPY + 1e-9 for h in values)
 
     layer_means = ", ".join(f"L{i + 1}={m:.3f}" for i, m in enumerate(profile.per_layer))

@@ -118,29 +118,35 @@ class TestEntropyProfile:
         profile = entropy_profile(m, k_inits=3, cfg=cfg)
         assert len(profile.per_layer) == 2
         assert len(profile.dead_neurons) == 2
-        assert len(profile.per_neuron) == 9
-        for h in profile.per_neuron.values():
+        assert [h.shape for h in profile.entropies] == [(5,), (4,)]
+        for h in np.concatenate(profile.entropies):
             if not np.isnan(h):
                 assert 0.0 <= h <= MAX_ENTROPY + 1e-12
 
     def test_dead_neurons_excluded_from_mean(self, monkeypatch):
-        # stub the dreaming stage: neuron (1,0) only ever yields zero arrays
+        # stub the dreaming stage: the dead neurons of layer 1 only ever
+        # yield zero arrays
         import qgdream.analysis as analysis_mod
 
-        def fake_dream_layer(model, layer, k_inits, cfg):
-            pms = np.array([spike(0, neuron) for neuron in range(model.layer_sizes[layer])])
-            if layer == 1:
-                pms[0] = 0.0
-            pms = np.repeat(pms[:, None], k_inits, axis=1)
-            return np.zeros(pms.shape[:2] + (24,)), pms
-
-        monkeypatch.setattr(analysis_mod, "dream_layer", fake_dream_layer)
         m = init_mlp([24, 3, 1], seed=1)
-        profile = entropy_profile(m, k_inits=2, cfg=DreamConfig(steps=1, lr=1e-2))
-        assert profile.dead_neurons == [1]
-        assert np.isnan(profile.per_neuron[(1, 0)])
-        # layer mean comes from the two defined neurons only (both H = 0)
-        assert profile.per_layer[0] == 0.0
+        for dead in ([0], [0, 1, 2]):
+            def fake_dream_layer(model, layer, k_inits, cfg):
+                pms = np.array([spike(0, neuron) for neuron in range(model.layer_sizes[layer])])
+                if layer == 1:
+                    pms[dead] = 0.0
+                pms = np.repeat(pms[:, None], k_inits, axis=1)
+                return np.zeros(pms.shape[:2] + (24,)), pms
+
+            monkeypatch.setattr(analysis_mod, "dream_layer", fake_dream_layer)
+            profile = entropy_profile(m, k_inits=2, cfg=DreamConfig(steps=1, lr=1e-2))
+            assert np.flatnonzero(np.isnan(profile.entropies[0])).tolist() == dead
+            # the layer mean comes from the defined neurons only (all H = 0),
+            # and a layer without one reads NaN, with no "Mean of empty slice"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                per_layer, dead_neurons = profile.per_layer, profile.dead_neurons
+            assert dead_neurons == [len(dead)]
+            np.testing.assert_equal(per_layer, [0.0 if len(dead) < 3 else np.nan])
 
     def test_no_hidden_layer_rejected(self):
         with pytest.raises(ValueError, match=r"layer sizes \[24, 1\] have no hidden layer"):
@@ -153,10 +159,11 @@ class TestEntropyProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             profile = entropy_profile(m, 2, cfg)
-        undefined = [key for key, h in profile.per_neuron.items() if np.isnan(h)]
-        assert len(undefined) > 0
-        assert sum(profile.dead_neurons) == len(undefined)
-        for h in profile.per_neuron.values():
+        entropies = np.concatenate(profile.entropies)
+        undefined = np.count_nonzero(np.isnan(entropies))
+        assert undefined > 0
+        assert sum(profile.dead_neurons) == undefined
+        for h in entropies:
             assert np.isnan(h) or 0.0 < h <= MAX_ENTROPY + 1e-12
 
 

@@ -4,8 +4,8 @@ qgbench/run.py imports qgdream.kernels and reads qgdream.BACKEND on every
 run; without either, every benchmark run fails. qgbench/spans.py wraps
 each (owner, attribute) that its trace_points lists and skips one that is
 gone, so a renamed function silently zeroes its per-layer metrics. These
-names go only with ROADMAP item 2's benchmark change, which edits qgbench
-and this test together.
+names go only with ROADMAP item 3's benchmark change (stage A), which
+edits qgbench and this test together.
 """
 
 import importlib
@@ -17,7 +17,7 @@ from qgdream import analysis, checkpoint, cli, dataset, dreaming, kernels, manif
 BENCH_DIR = Path(__file__).resolve().parents[1] / "qgbench"
 
 #: Listed by trace_points although src/ no longer has them; their metrics
-#: already read 0 (ROADMAP item 2, stage A).
+#: already read 0 (ROADMAP item 3, stage A).
 STALE = {("dreaming", "predict"), ("nn", "truncate_at_neuron"),
          ("dreaming", "truncate_at_neuron"), ("analysis", "dream_neuron")}
 

@@ -13,7 +13,7 @@ from qgdream.dataset import (
     read_dataset,
     write_dataset,
 )
-from qgdream.states import Property, property_value
+from qgdream.states import Property, property_value, random_graph
 
 import oracles
 
@@ -85,14 +85,16 @@ class TestGenerate:
 
     @pytest.mark.parametrize("cap", [None, 0.5])
     def test_nan_labels_never_kept(self, monkeypatch, cap):
-        # a degenerate graph's label is NaN; no cap, or none, may keep it
+        # a degenerate graph's label is NaN; no cap, or none, may keep it.
+        # The records are the other rows of the seed's one draw, in order.
         def half_nan(w, prop):
             return np.where(w[:, 0] < 0.0, np.nan, 0.25)
 
         monkeypatch.setattr(dataset, "property_value_batch", half_nan)
         ds = generate_dataset("ghz_fidelity", 500, cap=cap, seed=2)
         assert len(ds) == 500 and np.all(ds.labels == 0.25)
-        assert np.all(ds.inputs[:, 0] >= 0.0)
+        draw = random_graph(2, dataset.CHUNK)
+        assert np.array_equal(ds.inputs, draw[draw[:, 0] >= 0.0][:500].astype(np.float32))
 
     @pytest.mark.parametrize("prop, digest", [
         ("ghz_fidelity", "c95006d63c01c4c1490e7768eafd8020f101f5d5e4093082d2653ff9b6ec0336"),

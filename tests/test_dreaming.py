@@ -11,7 +11,6 @@ from qgdream.dreaming import (
     _ascend,
     _clamp,
     _dream_rows,
-    _random_starts,
     dream,
     dream_ensemble,
     dream_layer,
@@ -114,6 +113,20 @@ class TestDreamOracle:
         with pytest.raises(DegenerateStateError):
             dream_oracle(np.zeros(24), Property.GHZ_FIDELITY, small_cfg())
 
+    @pytest.mark.parametrize("lr, finite", [(1e60, True), (1e307, False)])
+    def test_unclamped_overflow_never_raises_overflow_error(self, lr, finite):
+        # at lr 1e60 the fidelity gradient's norm2 ** 2 overflows to inf; at
+        # 1e307 the first step's state is not finite, and its gradient raises
+        # DegenerateStateError
+        cfg = DreamConfig(steps=20, lr=lr, clamp=False, snapshot_stride=10)
+        for prop in Property:
+            if finite:
+                traj = dream_oracle(random_graph(1), prop, cfg)
+                assert all(0.0 <= s.true_value <= 1.0 for s in traj.snapshots)
+            else:
+                with pytest.raises(DegenerateStateError):
+                    dream_oracle(random_graph(1), prop, cfg)
+
     def test_start_of_more_than_one_graph_rejected(self):
         m = init_mlp([24, 4, 1], seed=0)
         with pytest.raises(ValueError):
@@ -181,7 +194,7 @@ class TestDreamNeuron:
         m = init_mlp([24, 6, 1], seed=11)
         cfg = small_cfg(steps=25)
         graphs, _ = dream_neuron(m, (2, 0), 3, cfg)
-        for g0, graph in zip(_random_starts(cfg.seed, 3), graphs):
+        for g0, graph in zip(random_graph(cfg.seed, 3), graphs):
             solo = dream(m, g0, None, cfg)
             assert np.array_equal(solo.final.weights, graph)
 
@@ -190,7 +203,7 @@ class TestDreamNeuron:
         cfg = small_cfg(steps=20, lr=5e-2, seed=4)
         graphs, pms = dream_layer(m, 2, 3, cfg)
         assert graphs.shape == (5, 3, 24) and pms.shape == (5, 3, 3, 16)
-        starts = _random_starts([cfg.seed, 2], 5 * 3).reshape(5, 3, 24)
+        starts = random_graph([cfg.seed, 2], 5 * 3).reshape(5, 3, 24)
         for j in range(5):
             truncated = truncate_at_neuron(m, 2, j)
             for i, start in enumerate(starts[j]):
@@ -213,7 +226,7 @@ class TestRowExactness:
         cfg = small_cfg(steps=40, lr=5e-2)
         result = dream_ensemble(m, Property.GHZ_FIDELITY, 5, cfg)
         assert result.failures == [] and result.runs == [0, 1, 2, 3, 4]
-        for run, g0 in enumerate(_random_starts(cfg.seed, 5)):
+        for run, g0 in enumerate(random_graph(cfg.seed, 5)):
             solo = dream(m, g0, Property.GHZ_FIDELITY, cfg)
             assert result.initial_true[run] == solo.initial.true_value
             assert result.final_true[run] == solo.final.true_value
@@ -241,7 +254,7 @@ class TestRowExactness:
         profile = entropy_profile(m, k_inits=3, cfg=cfg)
         for layer in (1, 2):
             values = []
-            starts = _random_starts([cfg.seed, layer], m.layer_sizes[layer] * 3)
+            starts = random_graph([cfg.seed, layer], m.layer_sizes[layer] * 3)
             for neuron in range(m.layer_sizes[layer]):
                 truncated = truncate_at_neuron(m, layer, neuron)
                 arrays = []
@@ -250,10 +263,10 @@ class TestRowExactness:
                     arrays.append(pm_probability_array(solo.final.weights))
                 expected = neuron_entropy(arrays)
                 if math.isnan(expected):
-                    assert math.isnan(profile.per_neuron[(layer, neuron)])
+                    assert math.isnan(profile.entropies[layer - 1][neuron])
                 else:
                     values.append(expected)
-                    assert profile.per_neuron[(layer, neuron)] == expected
+                    assert profile.entropies[layer - 1][neuron] == expected
             assert profile.per_layer[layer - 1] == float(np.mean(values))
 
 

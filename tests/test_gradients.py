@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,8 +63,13 @@ class TestPropertyGradient:
             assert abs(np.dot(grad, g)) < 1e-9
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateStateError):
-            property_gradient(np.zeros(24), Property.GHZ_FIDELITY)
+        # exactly where property_value reads NaN, an overflowing norm included
+        for graph in (np.zeros(24), 1e80 * GHZ_GRAPH, np.full(24, np.nan)):
+            for prop in Property:
+                with np.errstate(over="ignore"):
+                    assert math.isnan(property_value(graph, prop))
+                with pytest.raises(DegenerateStateError):
+                    property_gradient(graph, prop)
 
 
 @pytest.mark.parametrize("prop", list(Property))

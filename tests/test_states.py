@@ -54,6 +54,20 @@ class TestRandomGraph:
     def test_deterministic(self):
         assert np.array_equal(random_graph(7), random_graph(7))
 
+    @pytest.mark.parametrize("key", [7, [3, 2]])
+    def test_rows_are_one_draw(self, key):
+        # row r does not depend on n, and row 0 is the lone graph
+        rows = random_graph(key, 9)
+        assert rows.shape == (9, 24)
+        assert np.array_equal(rows[0], random_graph(key))
+        for n in (1, 2, 5):
+            assert np.array_equal(random_graph(key, n), rows[:n])
+
+    def test_generator_advanced(self):
+        rng = np.random.default_rng(4)
+        first, second = random_graph(rng), random_graph(rng, 2)
+        assert np.array_equal(np.vstack([first, second]), random_graph(4, 3))
+
     def test_range(self):
         for seed in range(20):
             assert np.all(np.abs(random_graph(seed)) <= 1.0)
@@ -106,8 +120,12 @@ class TestNormalize:
         assert np.allclose(out, GHZ_STATE, atol=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateStateError):
-            normalize_state(np.zeros(16))
+        # exactly where property_value reads NaN: the last state has finite
+        # amplitudes whose norm overflows
+        for state in (np.zeros(16), np.full(16, np.inf), np.full(16, np.nan),
+                      build_state(1e80 * GHZ_GRAPH)):
+            with pytest.raises(DegenerateStateError):
+                normalize_state(state)
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -123,6 +141,10 @@ class TestNormalize:
 
 
 class TestFidelity:
+    def test_non_finite_norm_raises(self):
+        with pytest.raises(DegenerateStateError):
+            fidelity(1e80 * GHZ_GRAPH, GHZ_STATE)
+
     def test_ghz_fixture_vs_ghz(self):
         assert fidelity(GHZ_GRAPH, GHZ_STATE) == pytest.approx(1.0, abs=1e-12)
 

@@ -77,10 +77,8 @@ NEURON_DREAMS = [
 
 
 def _entropy_profile():
-    # per_neuron is read in (layer, neuron) order, whatever its insertion order;
     # a single-spike neuron has entropy -0.0
-    per_neuron = {(2, 1): -0.0, (1, 1): NAN, (2, 0): 0.1, (1, 0): 1.5}
-    return EntropyProfile(per_neuron, [1.5, 0.05], [1, 0])
+    return EntropyProfile([np.array([1.5, NAN]), np.array([0.1, -0.0])])
 
 
 ENTROPY_PROFILE = [
