@@ -85,18 +85,22 @@ class WeightedActivationMap:
     global_max: float         # pre-normalization maximum
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def weighted_activations(model, x, threshold=0.05):
     """|weight * activation| per layer transition, globally normalized.
 
     Values are divided by the single largest entry across the whole net
     (left untouched when everything is zero); the masks keep entries at or
-    above the threshold, a number in [0, 1].
+    above the threshold, a number in [0, 1]. Raises ValueError when an
+    entry overflows, so that the largest is not finite.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be a number in [0, 1], got {threshold}")
     _, posts = forward(model, np.asarray(x, dtype=np.float64))
     layers = [np.abs(w * a[None, :]) for w, a in zip(model.weights, posts)]
-    global_max = max(float(layer.max()) for layer in layers)
+    global_max = float(np.max([layer.max() for layer in layers]))  # keeps a NaN max() may drop
+    if not np.isfinite(global_max):
+        raise ValueError(f"weighted activations are not finite (largest entry {global_max})")
     if global_max > 0.0:
         layers = [layer / global_max for layer in layers]
     masks = [layer >= threshold for layer in layers]

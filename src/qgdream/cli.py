@@ -181,6 +181,14 @@ def _dream_config(cfg, **fields):
     return dreaming.DreamConfig(steps=cfg["steps"], lr=cfg["lr"], seed=cfg["seed"], **fields)
 
 
+def _start_graph(args, cfg, inputs):
+    """The --graph file's weights, recorded in inputs, or else random_graph(--seed)."""
+    if args.graph:
+        inputs.append(args.graph)
+        return np.array(tables.read_graph_weights(args.graph))
+    return states.random_graph(cfg["seed"])
+
+
 def cmd_gen(args, cfg):
     cap = None if cfg["cap"].lower() == "none" else float(cfg["cap"])
     ds = generate_dataset(cfg["prop"], cfg["n"], cap=cap, seed=cfg["seed"])
@@ -214,12 +222,7 @@ def cmd_dream(args, cfg):
                          use_adam=cfg["use_adam"])
     inputs = [args.checkpoint]
     if cfg["runs"] == 1:
-        if args.graph:
-            g0 = np.array(tables.read_graph_weights(args.graph))
-            inputs.append(args.graph)
-        else:
-            g0 = states.random_graph(cfg["seed"])
-        traj = dreaming.dream(model, g0, cfg["prop"], dcfg)
+        traj = dreaming.dream(model, _start_graph(args, cfg, inputs), cfg["prop"], dcfg)
         if np.isnan([traj.initial.true_value, traj.final.true_value]).any():
             raise ValueError("the run failed: its start or end is degenerate or non-finite")
         tables.write_trajectory(traj, args.out)
@@ -255,12 +258,8 @@ def cmd_entropy(args, cfg):
 def cmd_activations(args, cfg):
     model = load_checkpoint(args.checkpoint)
     inputs = [args.checkpoint]
-    if args.graph:
-        x = np.array(tables.read_graph_weights(args.graph))
-        inputs.append(args.graph)
-    else:
-        x = states.random_graph(cfg["seed"])
-    amap = analysis.weighted_activations(model, x, cfg["threshold"])
+    amap = analysis.weighted_activations(model, _start_graph(args, cfg, inputs),
+                                         cfg["threshold"])
     tables.write_activation_map(amap, args.out)
     return cfg, inputs, [args.out]
 

@@ -66,13 +66,12 @@ class Snapshot:
     step: int
     weights: np.ndarray
     predicted: float
-    true_value: float  # nan when the property is undefined or not requested
+    true_value: float  # nan when the property is undefined
 
 
 @dataclass
 class DreamTrajectory:
-    prop: Property | None
-    snapshots: list[Snapshot] = field(default_factory=list)
+    snapshots: list[Snapshot]
 
     @property
     def initial(self):
@@ -85,7 +84,6 @@ class DreamTrajectory:
 
 @dataclass
 class DreamEnsembleResult:
-    prop: Property
     initial_true: np.ndarray
     final_true: np.ndarray
     final_graphs: np.ndarray
@@ -150,23 +148,23 @@ def _dream_rows(model, x0, cfg, select=None):
     return frames
 
 
+def _trajectory(steps, graphs, predicted, true):
+    """The DreamTrajectory of one row's frames and their values."""
+    return DreamTrajectory([Snapshot(*snap) for snap in zip(steps, graphs, predicted, true)])
+
+
 @_quiet
 def dream(model, g0, prop, cfg):
     """Maximize the frozen model's output by ascent on the input graph.
 
-    prop selects the true property recomputed at snapshots; None skips it,
-    for a net whose output is no states property (hidden neurons are
-    dreamed by dream_neuron and dream_layer).
+    prop selects the true property recomputed at snapshots.
     """
-    if prop is not None:
-        prop = Property(prop)
+    prop = Property(prop)
     g0 = np.reshape(g0, N_EDGES)  # one graph: graphs[:, 0] below would drop any other row
     steps, graphs = _dream_rows(model, g0, cfg)
     graphs = graphs[:, 0]
-    predicted = selected_output(model, graphs).tolist()
-    true = [math.nan] * len(steps) if prop is None else property_value(graphs, prop).tolist()
-    return DreamTrajectory(prop, [Snapshot(step, g, p, t)
-                                  for step, g, p, t in zip(steps, graphs, predicted, true)])
+    return _trajectory(steps, graphs, selected_output(model, graphs).tolist(),
+                       property_value(graphs, prop).tolist())
 
 
 @_quiet
@@ -183,8 +181,7 @@ def dream_oracle(g0, prop, cfg):
     steps, graphs = _ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
     graphs = graphs[:, 0]
     values = property_value(graphs, prop).tolist()
-    return DreamTrajectory(prop, [Snapshot(step, g, value, value)
-                                  for step, g, value in zip(steps, graphs, values)])
+    return _trajectory(steps, graphs, values, values)
 
 
 @_quiet
@@ -206,7 +203,7 @@ def dream_ensemble(model, prop, n_runs, cfg):
     failed = np.isnan(initial) | np.isnan(final)
     if failed.all():
         raise ValueError(f"all {n_runs} runs of the ensemble failed (degenerate or non-finite)")
-    return DreamEnsembleResult(prop, initial[~failed], final[~failed], graphs[-1][~failed],
+    return DreamEnsembleResult(initial[~failed], final[~failed], graphs[-1][~failed],
                                np.flatnonzero(failed).tolist())
 
 

@@ -431,6 +431,9 @@ def _layer_views(flat, sizes):
     return views[:len(sizes) - 1], views[len(sizes) - 1:]
 
 
+# A diverging run overflows to inf/NaN losses; the non-finite-loss check
+# reports it, so training runs with numpy's overflow warnings off.
+@np.errstate(over="ignore", invalid="ignore")
 def train(inputs, labels, layer_sizes, config=None, activation="relu", alpha=1.0):
     """Mini-batch Adam training with plateau LR decay and best-MSE patience.
 

@@ -13,7 +13,7 @@ indices of those entries, so state[CUT_KETS[A]] is that matrix and
 tr(rho_A^2) = sum((M M^T)^2). The batched mean purity gathers rows of the
 (16, n) transposed states through it, the purity gradient scatters
 4 M M^T M back through it with bincount, and reduced_purity builds the same
-kind of matrix for any other subset.
+kind of matrix for any subset.
 
 Property values are rows of one row-exact batch path, and one graph is its
 n = 1 row; fidelity and mean_purity are its per-state reference.
@@ -83,13 +83,11 @@ def _cut_kets(subset):
 CUT_KETS = {subset: _cut_kets(subset) for subset in BIPARTITIONS}
 
 #: CUT_KETS stacked by shape: (4, 2, 8) for the single qubits, (3, 4, 4) for
-#: the pairs. _CUT_STACKS_FLAT ravels both, cuts in BIPARTITIONS order, so
-#: its first _CUT_SPLIT entries are the single-qubit stack.
+#: the pairs. _CUT_STACKS_FLAT ravels both, cuts in BIPARTITIONS order.
 _CUT_STACKS = tuple(
     np.stack([kets for kets in CUT_KETS.values() if kets.shape == shape])
     for shape in ((2, 8), (4, 4)))
 _CUT_STACKS_FLAT = np.concatenate([stack.ravel() for stack in _CUT_STACKS])
-_CUT_SPLIT = _CUT_STACKS[0].size
 
 #: Canonical GHZ graph: H matching of |0000> plus D matching of |1111>.
 GHZ_GRAPH = np.zeros(N_EDGES)
@@ -155,8 +153,7 @@ def fidelity(graph, target):
 def reduced_purity(state, subset):
     """tr(rho_M^2) of the reduction onto the qubits in `subset`."""
     s = _check_normalized(state)
-    subset = tuple(subset)
-    m = s[CUT_KETS[subset] if subset in CUT_KETS else _cut_kets(subset)]
+    m = s[_cut_kets(subset)]
     return float(np.sum((m @ m.T) ** 2))
 
 
@@ -235,10 +232,14 @@ def property_gradient(graph, prop):
     prop = Property(prop)
     w = _graph(graph)
     s = kernels.build_state(w)
-    # numpy scalars, so an overflow below reads inf, not a Python OverflowError
     norm2 = np.vdot(s, s)
     if not _usable(norm2):
         raise DegenerateStateError("gradient undefined for a degenerate or non-finite state")
+    if norm2 > 2.0 ** 500:
+        # norm2 ** 2 below would overflow. Every property is scale-invariant, so
+        # grad(c w) = grad(w) / c, and a power-of-two c scales both ways exactly
+        c = np.ldexp(1.0, -(np.frexp(norm2)[1] // 4))
+        return property_gradient(w * c, prop) * c
     target = _TARGETS.get(prop)
     if target is not None:
         overlap = np.dot(s, target)
@@ -247,11 +248,9 @@ def property_gradient(graph, prop):
         norm = np.sqrt(norm2)
         s_hat = s / norm
         # d tr((M M^T)^2) / dM = 4 M M^T M for every cut, gathered through the
-        # cut-index table at once and scattered back through it
-        flat = s_hat[_CUT_STACKS_FLAT]
-        stacks = (flat[:_CUT_SPLIT].reshape(_CUT_STACKS[0].shape),
-                  flat[_CUT_SPLIT:].reshape(_CUT_STACKS[1].shape))
-        dm = np.concatenate([(m @ m.transpose(0, 2, 1) @ m).ravel() for m in stacks])
+        # cut-index table and scattered back through it
+        dm = np.concatenate([(m @ m.transpose(0, 2, 1) @ m).ravel()
+                             for m in (s_hat[kets] for kets in _CUT_STACKS)])
         dm *= 4.0
         g_hat = np.bincount(_CUT_STACKS_FLAT, dm, minlength=N_KETS)
         g_hat /= len(BIPARTITIONS)

@@ -174,8 +174,8 @@ def test_failed_single_run_error_exit(workspace, tmp_path, capsys, case):
 
 def test_ensemble_table_keeps_failed_run_ids(tmp_path):
     # random starts are never degenerate, so the failed run is made by hand
-    result = DreamEnsembleResult(Property.GHZ_FIDELITY, np.array([0.125, 0.25]),
-                                 np.array([0.5, 0.75]), np.zeros((2, 24)), failures=[1])
+    result = DreamEnsembleResult(np.array([0.125, 0.25]), np.array([0.5, 0.75]),
+                                 np.zeros((2, 24)), failures=[1])
     out = tmp_path / "ens.csv"
     write_ensemble(result, out)
     assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["run", "0", "2"]
@@ -237,6 +237,20 @@ def test_activations_subcommand(workspace, tmp_path):
     assert main(["activations", "--checkpoint", str(ckpt), "--graph", str(graph),
                  "--threshold", "0.05", "--out", str(out)]) == 0
     assert out.read_text().startswith("layer,from_index,to_index,value")
+
+
+def test_activations_overflow_error_exit(tmp_path, capsys):
+    # the forward pass overflows, so the map's largest entry is inf; this
+    # used to print numpy warnings, exit 0 and write a header-only table
+    ckpt, out = tmp_path / "net.ckpt", tmp_path / "act.csv"
+    model = init_mlp([24, 8, 1], seed=0)
+    for p in model.weights + model.biases:
+        p *= 1e160
+    save_checkpoint(model, ckpt)
+    assert main(["activations", "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: weighted activations are not finite")
+    assert list(tmp_path.iterdir()) == [ckpt]
 
 
 def test_export_subcommand(workspace, tmp_path):
@@ -363,7 +377,10 @@ def test_graph_with_ensemble_error_exit(workspace, tmp_path, capsys):
     "run,initial_true,final_true\n0,0.125,nan\n1,0.25,0.5\n",
     "run,initial_true,final_true\n0,0.125,1.7\n1,0.25,0.5\n",
     "run,initial_true,final_true\n0,-0.25,0.5\n",
-], ids=["no-initial_true", "no-final_true", "nan", "above-1", "below-0"])
+    "run,initial_true,final_true\n0,abc,0.5\n",
+    "run,initial_true,final_true\n0," + "1" * 200_000 + ",0.5\n",
+], ids=["no-initial_true", "no-final_true", "nan", "above-1", "below-0", "not-a-number",
+        "cell-over-csv-field-limit"])
 def test_malformed_ensemble_error_exit(tmp_path, capsys, text):
     ens = tmp_path / "ens.csv"
     ens.write_text(text)
@@ -463,6 +480,18 @@ def test_bad_train_learning_rate_error_exit(workspace, tmp_path, capsys, lr):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "learning rate must be finite and > 0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["1e30", "1e300"])
+def test_diverging_train_error_exit(workspace, tmp_path, capsys, lr):
+    # the overflow used to print numpy warnings before the error line
+    _, ds, _ = workspace
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,8,1", "--batch-size", "500",
+                 "--max-epochs", "3", "--lr", lr, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: non-finite loss at epoch 1 (train=nan, test=nan)"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

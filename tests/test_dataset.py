@@ -176,6 +176,16 @@ class TestRoundTrip:
         with pytest.raises(DatasetReadError, match="magic"):
             read_dataset(path)
 
+    def test_unknown_property_tag(self, tmp_path):
+        ds = generate_dataset("ghz_fidelity", 10, cap=0.5, seed=5)
+        path = tmp_path / "ds.qgdd"
+        write_dataset(ds, path)
+        data = bytearray(path.read_bytes())
+        data[8] = 9  # the u8 tag after magic and version
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetReadError, match="unknown property tag 9"):
+            read_dataset(path)
+
     def test_too_short(self, tmp_path):
         path = tmp_path / "ds.qgdd"
         path.write_bytes(b"QG")

@@ -80,11 +80,6 @@ class TestDream:
         assert math.isnan(traj.initial.true_value)
         assert math.isnan(traj.final.true_value)
 
-    def test_none_property_skips_true_values(self):
-        m = init_mlp([24, 4, 1], seed=6)
-        traj = dream(m, random_graph(6), None, small_cfg())
-        assert all(math.isnan(s.true_value) for s in traj.snapshots)
-
 
 class TestDreamOracle:
     def test_ghz_fixture_stationary(self):
@@ -115,9 +110,9 @@ class TestDreamOracle:
 
     @pytest.mark.parametrize("lr, finite", [(1e60, True), (1e307, False)])
     def test_unclamped_overflow_never_raises_overflow_error(self, lr, finite):
-        # at lr 1e60 the fidelity gradient's norm2 ** 2 overflows to inf; at
-        # 1e307 the first step's state is not finite, and its gradient raises
-        # DegenerateStateError
+        # at lr 1e60 the graphs grow until norm2 ** 2 would overflow, which
+        # the gradient rescales away; at 1e307 the first step's state is not
+        # finite, and its gradient raises DegenerateStateError
         cfg = DreamConfig(steps=20, lr=lr, clamp=False, snapshot_stride=10)
         for prop in Property:
             if finite:
@@ -195,7 +190,7 @@ class TestDreamNeuron:
         cfg = small_cfg(steps=25)
         graphs, _ = dream_neuron(m, (2, 0), 3, cfg)
         for g0, graph in zip(random_graph(cfg.seed, 3), graphs):
-            solo = dream(m, g0, None, cfg)
+            solo = dream(m, g0, Property.GHZ_FIDELITY, cfg)
             assert np.array_equal(solo.final.weights, graph)
 
     def test_layer_equals_neuron_dreams(self):
@@ -207,9 +202,15 @@ class TestDreamNeuron:
         for j in range(5):
             truncated = truncate_at_neuron(m, 2, j)
             for i, start in enumerate(starts[j]):
-                solo = dream(truncated, start, None, cfg).final.weights
+                solo = _dream_rows(truncated, start, cfg)[1][-1, 0]
                 assert np.array_equal(graphs[j, i], solo)
                 assert np.array_equal(pms[j, i], pm_probability_array(solo))
+
+    @pytest.mark.parametrize("layer", [0, 4])
+    def test_layer_out_of_range(self, layer):
+        m = init_mlp([24, 6, 5, 1], seed=23)
+        with pytest.raises(ValueError, match=f"layer {layer} out of range 1..3"):
+            dream_layer(m, layer, 2, small_cfg())
 
     def test_model_frozen(self):
         m = init_mlp([24, 6, 6, 1], seed=12)
@@ -259,8 +260,8 @@ class TestRowExactness:
                 truncated = truncate_at_neuron(m, layer, neuron)
                 arrays = []
                 for g0 in starts[3 * neuron:3 * (neuron + 1)]:
-                    solo = dream(truncated, g0, None, cfg)
-                    arrays.append(pm_probability_array(solo.final.weights))
+                    solo = _dream_rows(truncated, g0, cfg)[1][-1, 0]
+                    arrays.append(pm_probability_array(solo))
                 expected = neuron_entropy(arrays)
                 if math.isnan(expected):
                     assert math.isnan(profile.entropies[layer - 1][neuron])

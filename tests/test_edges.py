@@ -48,6 +48,12 @@ def test_invalid_inputs_raise(pair, lo, hi):
         canonical_edge_index(pair, lo, hi)
 
 
+@pytest.mark.parametrize("index", [-1, 24])
+def test_edge_index_out_of_range_raises(index):
+    with pytest.raises(ValueError, match=f"edge index {index} out of range"):
+        edge_key(index)
+
+
 def test_ket_bits_msb_first():
     assert ket_bits(0b1000) == (1, 0, 0, 0)
     assert ket_bits(0b0001) == (0, 0, 0, 1)

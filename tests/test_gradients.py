@@ -71,6 +71,16 @@ class TestPropertyGradient:
                 with pytest.raises(DegenerateStateError):
                     property_gradient(graph, prop)
 
+    @pytest.mark.parametrize("prop", list(Property))
+    @pytest.mark.parametrize("k", [0, 60, 133, 200])
+    def test_power_of_two_scale_bit_exact(self, prop, k):
+        # grad(c w) = grad(w) / c, and scaling by a power of two is exact. From
+        # k = 133 on, norm2 ** 2 of the scaled state would overflow: the
+        # fidelity gradients used to lose their second term, with a warning
+        g = random_graph(1)
+        assert np.array_equal(property_gradient(2.0 ** k * g, prop),
+                              property_gradient(g, prop) / 2.0 ** k)
+
 
 @pytest.mark.parametrize("prop", list(Property))
 def test_matches_dense_jacobian_reference(prop):

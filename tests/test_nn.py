@@ -107,6 +107,14 @@ class TestForward:
         m = init_mlp([24, 8, 1], seed=0)
         with pytest.raises(ValueError):
             predict(m, np.zeros(23))
+        with pytest.raises(ValueError, match="input width 23 != 24"):
+            input_gradient(m, np.zeros(23))
+
+    def test_unknown_activation_raises(self):
+        m = init_mlp([24, 4, 1], seed=0)
+        m.activation = "tanh"
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            forward(m, np.zeros(24))
 
 
 class TestParamGradients:
@@ -337,6 +345,8 @@ class TestInputGradient:
         for select in ((1, 4), (1, [0, -1]), (3, 0), (0, 0)):
             with pytest.raises(ValueError):
                 input_gradient(m, x, select=select)
+        with pytest.raises(ValueError, match="not a scalar"):
+            input_gradient(init_mlp([24, 4, 2], seed=0), x)
 
     @pytest.mark.parametrize("select", [None, (1, 2), (1, [0, 3, 1])])
     def test_resolved_selection_equals_unresolved(self, select):
@@ -619,6 +629,10 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 24)), np.zeros(0), [24, 4, 1], TrainConfig())
+
+    def test_misaligned_labels_rejected(self):
+        with pytest.raises(ValueError, match="inputs and labels misaligned"):
+            train(np.zeros((10, 24)), np.zeros(9), [24, 4, 1], TrainConfig())
 
     def test_no_training_row_rejected(self):
         # one record goes to the test split, leaving an empty training split

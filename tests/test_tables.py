@@ -15,7 +15,6 @@ from qgdream import tables
 from qgdream.analysis import EntropyProfile, ShiftReport, WeightedActivationMap
 from qgdream.dreaming import DreamEnsembleResult, DreamTrajectory, Snapshot
 from qgdream.nn import TrainHistory
-from qgdream.states import Property
 
 NAN = math.nan
 HALVES = ",".join(["0.5"] * 20)
@@ -34,7 +33,7 @@ def _pm(first, last):
 
 
 def _trajectory():
-    return DreamTrajectory(Property.GHZ_FIDELITY, [
+    return DreamTrajectory([
         Snapshot(0, GRAPH, 0.25, NAN),
         Snapshot(10, -GRAPH, -0.0, 1e-300)])
 
@@ -48,8 +47,8 @@ TRAJECTORY = [
 
 def _ensemble():
     # run 1 failed, so its id is missing from the table
-    return DreamEnsembleResult(Property.GHZ_FIDELITY, np.array([0.125, 1e-300]),
-                               np.array([0.1, 1.0]), np.zeros((2, 24)), failures=[1])
+    return DreamEnsembleResult(np.array([0.125, 1e-300]), np.array([0.1, 1.0]),
+                               np.zeros((2, 24)), failures=[1])
 
 
 ENSEMBLE = [
