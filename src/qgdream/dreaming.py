@@ -16,10 +16,23 @@ from one states.property_value call per frame of graphs.
 Per-dream invariants are resolved once, before the first step, so that a
 step costs about its arithmetic: _dream_rows resolves the selection
 (nn.resolve_selection: the gathered weight rows, the range checks and the
-transposes) and hands it to every gradient call, and dream_oracle
-resolves its Property and calls states.property_gradient on its one row,
-whose state is built without the batch kernel. The clamp is two in-place
-ufuncs.
+transposes) and hands it to every gradient call, indexing it by row again
+only when rows leave the ascent, and dream_oracle resolves its Property
+and calls states.property_gradient on its one row, whose state is built
+without the batch kernel. The clamp is two in-place ufuncs.
+
+A row leaves the ascent once a step leaves its bits unchanged, and later
+steps run only on the rows still moving; a dream whose rows have all left
+stops stepping. This is exact: a step computes a row's next graph from
+that row's bits alone (row exactness, below), so a step that left a row
+unchanged would leave it unchanged every time after (under Adam its
+moments must stay unchanged too; see _ascend). In a neuron or layer dream
+most rows start where their ReLU neuron is inactive, with a zero
+gradient, and leave after the first step. A row that overflows to inf or
+NaN needs no rule of its own: it steps on until a step leaves its
+non-finite bits unchanged and then leaves with them, so its frames and
+its NaN true value are those of a dream that stepped it to the end.
+Retiring it at its first non-finite step would change those bits.
 
 Row exactness: each row's result is bit-identical to a dream of that row
 alone, whatever the batch size. The optimizer steps and the clamp act
@@ -110,40 +123,97 @@ def _clamp(x):
     np.maximum(x, -1.0, out=x)
 
 
+#: _ascend tests for fixed rows on the first step and on every
+#: _CHECK_EVERY-th step after it. Any step's test is exact, and most fixed
+#: rows are fixed from their start. On a 2-vCPU host at 1 BLAS thread a
+#: test costs a one-row step about 3.5 us, so testing every 8th step slowed
+#: a one-row oracle step (15 us) by about 4%; at 32 it is about 1%, and
+#: desk-scale layer dreams run no slower.
+_CHECK_EVERY = 32
+
+
+def _unchanged(a, before):
+    """Rows of a whose bits all equal before's (NaN payloads and signed zeros too)."""
+    return (a.view(np.int64) == before.view(np.int64)).all(axis=1)
+
+
 def _ascend(gradient_fn, x0, cfg):
     """Move the (n, 24) graphs x0 together; returns (steps, graphs).
 
-    gradient_fn maps the (n, 24) graphs to (n, 24) gradients (or, for one
-    row, a (24,) gradient). steps are step 0, every snapshot_stride-th step
-    and the last step; graphs[k] is the (n, 24) array at steps[k].
+    gradient_fn(x, rows) maps the graphs x of the rows still ascending, the
+    rows of x0 that the index array rows names, to (len(rows), 24)
+    gradients (or, for one row, a (24,) gradient). steps are step 0, every
+    snapshot_stride-th step and the last step; graphs[k] is the (n, 24)
+    array at steps[k].
+
+    A row leaves the ascent once a tested step leaves its bits unchanged:
+    the step takes the row's next graph from its own bits alone (row
+    exactness), so every later step would leave it unchanged too, and each
+    later frame holds those bits. The test compares bits, not gradients: a
+    zero gradient may still turn -0.0 into 0.0, and the clamp may absorb a
+    non-zero one. Under Adam the row's moments m and v must be unchanged as
+    well, and m zero: a non-zero moment's step scales with bias corrections
+    that change every step, so a step its rounding absorbed need not be
+    absorbed later. A non-finite row gets no rule of its own: its inf or
+    NaN weights can still change bits (inf - inf is NaN), so it keeps
+    stepping, as a lone dream of it would, until a step leaves them
+    unchanged.
     """
-    x = np.array(x0, dtype=np.float64, ndmin=2)
+    now = np.array(x0, dtype=np.float64, ndmin=2)  # every row's graph at the last write
     lr, snap_steps = cfg.lr, [*range(0, cfg.steps, cfg.snapshot_stride), cfg.steps]
-    graphs = np.empty((len(snap_steps), *x.shape))
-    graphs[0] = x
+    graphs = np.empty((len(snap_steps), *now.shape))
+    graphs[0] = now
+    x, rows = now, np.arange(len(now))  # the ascending rows: their graphs and indices
     opt = Adam(x) if cfg.use_adam else None
     for k in range(1, len(snap_steps)):
-        for _ in range(snap_steps[k - 1], snap_steps[k]):
-            grad = gradient_fn(x)
+        for step in range(snap_steps[k - 1], snap_steps[k]):
+            test = step % _CHECK_EVERY == 0
+            if test:
+                before = (x.copy(),) if opt is None else (x.copy(), opt.m.copy(), opt.v.copy())
+            grad = gradient_fn(x, rows)
             if opt is not None:
                 opt.step(x, -grad, lr)  # Adam steps descend; negate for ascent
             else:
                 x += lr * grad
             if cfg.clamp:
                 _clamp(x)
-        graphs[k] = x
+            if test:
+                fixed = _unchanged(x, before[0])
+                if opt is not None:
+                    fixed &= (_unchanged(opt.m, before[1]) & _unchanged(opt.v, before[2])
+                              & (opt.m == 0).all(axis=1))
+                if fixed.any():
+                    now[rows] = x
+                    moving = ~fixed
+                    x, rows = x[moving], rows[moving]
+                    if opt is not None:
+                        opt.m, opt.v = opt.m[moving], opt.v[moving]
+                    if not len(rows):
+                        graphs[k:] = now
+                        return snap_steps, graphs
+        if x is not now:
+            now[rows] = x
+        graphs[k] = now
     return snap_steps, graphs
 
 
 def _dream_rows(model, x0, cfg, select=None):
     """_ascend of each row of x0 on its selected neuron (see nn.input_gradient).
 
-    The selection is resolved once, before the first step, for every step
-    of the dream.
+    The selection is resolved once, before the first step, and indexed by
+    row again only when rows leave the ascent.
     """
     before = model.checksum()
     sel = resolve_selection(model, select, len(np.atleast_2d(x0)))
-    frames = _ascend(lambda x: input_gradient(model, x, sel), x0, cfg)
+    active = sel
+
+    def gradient(x, rows):
+        nonlocal active
+        if active.rows != len(rows):  # the ascending rows only ever shrink
+            active = sel.take(rows)
+        return input_gradient(model, x, active)
+
+    frames = _ascend(gradient, x0, cfg)
     assert model.checksum() == before, "model parameters changed during dreaming"
     return frames
 
@@ -178,7 +248,7 @@ def dream_oracle(g0, prop, cfg):
     """
     prop = Property(prop)
     g0 = np.reshape(g0, N_EDGES)  # one graph: x[0] below would cut off any other row
-    steps, graphs = _ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
+    steps, graphs = _ascend(lambda x, rows: property_gradient(x[0], prop), g0, cfg)
     graphs = graphs[:, 0]
     values = property_value(graphs, prop).tolist()
     return _trajectory(steps, graphs, values, values)

@@ -17,7 +17,7 @@ hyperparameters and plateau schedule are the module constants below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,6 +271,13 @@ class Selection:
     weights_t: tuple
     biases: tuple
     hidden: bool
+
+    def take(self, rows):
+        """The Selection of these of its rows (an index array), in that order."""
+        w = self.weights[-1][rows]
+        return replace(self, rows=len(rows), weights=self.weights[:-1] + (w,),
+                       weights_t=self.weights_t[:-1] + (np.swapaxes(w, -1, -2),),
+                       biases=self.biases[:-1] + (self.biases[-1][rows],))
 
 
 def resolve_selection(model, select, n):

@@ -14,6 +14,9 @@ did. The dream path's block products are checked against plain numpy
 products of a zero-padded block that holds one row alone.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from qgdream.dataset import _HEADER, MAGIC, PROPERTY_TAGS, VERSION
 from qgdream.edges import EDGE_PERMUTATIONS, MATCH_EDGE_1, MATCH_EDGE_2, N_KETS
 from qgdream.edges import MATCH_EDGE_1 as _E1, MATCH_EDGE_2 as _E2  # (3, 16) each
-from qgdream import nn
+from qgdream import dreaming, nn
 from qgdream.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BLOCK_ROWS, Mlp, init_mlp
 from qgdream.states import (
     BIPARTITIONS,
@@ -380,3 +383,129 @@ def block_invariance_failures(seed=0):
                         failures.append(f"{model.activation} {model.layer_sizes}, "
                                         f"{n} rows, row {r}, select {select}")
     return failures
+
+
+def reference_ascend(gradient_fn, x0, cfg):
+    """The dream ascent that steps every row on every step; (steps, graphs).
+
+    gradient_fn maps all n graphs (n, 24) to their gradients. No row ever
+    leaves, so this is the plain loop that dreaming._ascend, which retires
+    rows a step leaves unchanged, must equal frame for frame. The clamp is
+    np.clip and Adam is ReferenceAdam.
+    """
+    x = np.array(x0, dtype=np.float64, ndmin=2)
+    snap_steps = [*range(0, cfg.steps, cfg.snapshot_stride), cfg.steps]
+    graphs = np.empty((len(snap_steps), *x.shape))
+    graphs[0] = x
+    opt = ReferenceAdam([x]) if cfg.use_adam else None
+    for k in range(1, len(snap_steps)):
+        for _ in range(snap_steps[k - 1], snap_steps[k]):
+            grad = gradient_fn(x)
+            if opt is not None:
+                opt.step([x], [-grad], cfg.lr)
+            else:
+                x += cfg.lr * grad
+            if cfg.clamp:
+                np.clip(x, -1.0, 1.0, out=x)
+        graphs[k] = x
+    return snap_steps, graphs
+
+
+def _retirement_cases():
+    """(name, model, select, starts, cfg kwargs) of each ascent retirement case.
+
+    In the [24, 6, 1] ReLU net, hidden neurons 0 and 1 are dead on every
+    graph in [-1, 1]^24 (bias -30), so their rows are fixed from step 0;
+    neurons 2 and 3 are always active (bias +30) with weights of magnitude
+    0.1 to 0.2, so their gradient is their constant weight row and the
+    clamp pins their rows partway through a 60-step run at lr 0.5. Start 0
+    opens with -0.0, 0.0, -0.0: on a dead neuron, plain ascent's first step
+    adds a +0.0 gradient and turns each -0.0 into 0.0, so that row leaves
+    one test later than the others; Adam subtracts +0.0 and keeps them.
+    """
+    rng = np.random.default_rng(7)
+    model = init_mlp([24, 6, 1], seed=7)
+    model.biases[0][:] = [-30.0, -30.0, 30.0, 30.0, 0.0, 0.0]
+    model.weights[0][2:4] = rng.choice([-1.0, 1.0], (2, 24)) * rng.uniform(0.1, 0.2, (2, 24))
+    starts = rng.uniform(-1, 1, (12, 24))
+    starts[0, :3] = [-0.0, 0.0, -0.0]
+    wide = init_mlp([24, 8, 1], seed=5)
+    return [
+        ("fixed from step 0", model, (1, [0, 1] * 6), starts, dict(lr=0.5)),
+        ("clamp-pinned partway", model, (1, [2, 3] * 6), starts, dict(lr=0.5)),
+        ("mixed batch", model, (1, np.arange(12) % 6), starts, dict(lr=0.5)),
+        ("overflowing rows", wide, None, rng.uniform(-1, 1, (64, 24)), dict(lr=1e308, clamp=False)),
+    ]
+
+
+def rows_select(select, n, rows):
+    """The public select of `rows` of the n rows select was given for."""
+    if select is None:
+        return None
+    return select[0], np.broadcast_to(np.asarray(select[1]), (n,))[rows]
+
+
+def ascent_retirement_failures():
+    """Frames where the retiring ascent differs from reference_ascend.
+
+    Each case of _retirement_cases runs under plain ascent and Adam, with a
+    snapshot every 7 of 60 steps. dreaming._ascend (on the public per-row
+    selection) and dreaming._dream_rows (on its resolved one) must give
+    the reference's frames bit for bit. Rows must also leave where the
+    case is built for them to: after the first step, at a later test, or
+    both (`expected` below; an Adam row leaves only with a zero first
+    moment, so pinned and overflowed Adam rows keep stepping). Returns one
+    description per failure; empty when all pass.
+    """
+    failures = []
+    for name, model, select, x0, kw in _retirement_cases():
+        n = len(x0)
+        for use_adam in (False, True):
+            cfg = dreaming.DreamConfig(steps=60, snapshot_stride=7, use_adam=use_adam, **kw)
+            ascending = []
+
+            def gradient(x, rows):
+                ascending.append(len(rows))
+                return nn.input_gradient(model, x, rows_select(select, n, rows))
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps, frames = dreaming._ascend(gradient, x0, cfg)
+                ref_steps, ref = reference_ascend(lambda x: nn.input_gradient(model, x, select),
+                                                  x0, cfg)
+                resolved = dreaming._dream_rows(model, x0, cfg, select)[1]
+            label = f"{name}, {'Adam' if use_adam else 'plain'}"
+            if steps != ref_steps or frames.tobytes() != ref.tobytes():
+                failures.append(f"{label}: frames differ from the reference")
+            if resolved.tobytes() != ref.tobytes():
+                failures.append(f"{label}: _dream_rows frames differ from the reference")
+            # the steps stop early once every row has left
+            left = {"first": len(ascending) == 1 or ascending[1] < n,
+                    "later": 1 < len(ascending) < cfg.steps
+                    or any(b < a for a, b in zip(ascending[1:], ascending[2:]))}
+            expected = {"fixed from step 0": {"first": True, "later": not use_adam},
+                        "clamp-pinned partway": {"first": False, "later": not use_adam},
+                        "mixed batch": {"first": True, "later": not use_adam},
+                        "overflowing rows": {"later": not use_adam}}[name]
+            if any(left[when] != leaves for when, leaves in expected.items()):
+                failures.append(f"{label}: rows left {left}, expected {expected}")
+    return failures
+
+
+def blas_thread_failures(check):
+    """Failing runs of oracles.<check>() at 1 and at 2 OpenBLAS threads.
+
+    Each run is a fresh interpreter with RuntimeWarnings as errors, which
+    exits 1 when check returns any failure. Returns (threads, stdout,
+    stderr) per failing run; empty when both pass.
+    """
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = f"import sys, oracles; f = oracles.{check}(); print(f); sys.exit(bool(f))"
+    failing = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=300)
+        if proc.returncode:
+            failing.append((threads, proc.stdout, proc.stderr))
+    return failing

@@ -23,11 +23,18 @@ from qgdream.states import (
     DegenerateStateError,
     Property,
     pm_probability_array,
+    property_gradient,
     property_value,
     random_graph,
 )
 
-from oracles import truncate_at_neuron
+from oracles import (
+    rows_select,
+    ascent_retirement_failures,
+    blas_thread_failures,
+    reference_ascend,
+    truncate_at_neuron,
+)
 
 
 def small_cfg(**kw):
@@ -288,7 +295,11 @@ class TestAscentEngine:
                   "per_row": (1, np.repeat(np.arange(3), 2))}[select]
         cfg = small_cfg(steps=30, lr=5e-2, snapshot_stride=7)
         steps, resolved = _dream_rows(m, x0, cfg, select=select)
-        public_steps, public = _ascend(lambda x: input_gradient(m, x, select), x0, cfg)
+
+        def public_gradient(x, rows):  # the public selection of the rows still ascending
+            return input_gradient(m, x, rows_select(select, len(x0), rows))
+
+        public_steps, public = _ascend(public_gradient, x0, cfg)
         assert steps == public_steps == [0, 7, 14, 21, 28, 30]
         assert resolved.shape == public.shape == (len(steps), 6, 24)
         assert np.array_equal(resolved, public)
@@ -340,3 +351,59 @@ class TestAscentEngine:
         with pytest.raises(ValueError, match="out of range"):
             dream_neuron(m, select, 2, small_cfg())
         assert calls == []
+
+
+class TestRowRetirement:
+    """A row leaves the ascent once a step leaves it unchanged; every frame
+    stays that of the reference that steps every row, bit for bit."""
+
+    def test_frames_equal_reference_that_steps_every_row(self):
+        assert ascent_retirement_failures() == []
+
+    def test_at_one_and_two_blas_threads(self):
+        assert blas_thread_failures("ascent_retirement_failures") == []
+
+    @pytest.mark.parametrize("use_adam", [False, True])
+    @pytest.mark.parametrize("scale, lr", [(1.0, 1e-2), (0.7, 1.0)])
+    def test_oracle_fixed_point_equals_reference(self, monkeypatch, scale, lr, use_adam):
+        # the GHZ graph is a fixed point from its start; at 0.7 x the GHZ
+        # graph, plain ascent's first step moves the row in its last bits and
+        # the second test finds it fixed. Under Adam the 0.7 row keeps
+        # stepping: its first moment stays non-zero.
+        steps_taken = 1 if scale == 1.0 else 200 if use_adam else 1 + dreaming._CHECK_EVERY
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return property_gradient(*args)
+
+        monkeypatch.setattr(dreaming, "property_gradient", counted)
+        prop, g0 = Property.GHZ_FIDELITY, scale * GHZ_GRAPH
+        cfg = DreamConfig(steps=200, lr=lr, snapshot_stride=20, use_adam=use_adam)
+        traj = dream_oracle(g0, prop, cfg)
+        steps, frames = reference_ascend(lambda x: property_gradient(x[0], prop), g0, cfg)
+        assert len(calls) == steps_taken
+        assert [snap.step for snap in traj.snapshots] == steps
+        weights = np.array([snap.weights for snap in traj.snapshots])
+        assert weights.tobytes() == frames[:, 0].tobytes()
+        values = property_value(frames[:, 0], prop).tolist()
+        assert [snap.true_value for snap in traj.snapshots] == values
+        assert [snap.predicted for snap in traj.snapshots] == values
+
+    def test_adam_row_leaves_only_with_zero_first_moment(self):
+        # one gradient of 1e-322, then zeros: m sticks at 2 x 5e-324 and v at
+        # 0, and x = 0.5 absorbs each step, so x, m and v all stay unchanged;
+        # but m is not zero, and its step, lr * (m / c1) / eps, changes with
+        # the bias correction c1, so the row keeps ascending
+        def counted(calls):
+            def gradient(x, rows=None):
+                calls.append(len(x))
+                return np.full(x.shape, 1e-322 if len(calls) == 1 else 0.0)
+            return gradient
+
+        x0 = np.full((1, 24), 0.5)
+        cfg = DreamConfig(steps=40, lr=1.0, snapshot_stride=10, use_adam=True)
+        calls = []
+        frames = _ascend(counted(calls), x0, cfg)[1]
+        assert calls == [1] * 40
+        assert frames.tobytes() == reference_ascend(counted([]), x0, cfg)[1].tobytes()

@@ -1,8 +1,4 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +21,7 @@ from qgdream.nn import (
 
 from oracles import (
     ReferenceAdam,
+    blas_thread_failures,
     block_invariance_failures,
     finite_difference,
     padded_block_predict,
@@ -370,14 +367,7 @@ class TestBlockInvariance:
         assert block_invariance_failures() == []
 
     def test_at_one_and_two_blas_threads(self):
-        tests = Path(__file__).resolve().parent
-        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-        code = "import sys, oracles; f = oracles.block_invariance_failures(); print(f); sys.exit(bool(f))"
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, (threads, proc.stdout, proc.stderr)
+        assert blas_thread_failures("block_invariance_failures") == []
 
 
 class TestAdam:
