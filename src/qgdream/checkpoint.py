@@ -1,119 +1,102 @@
-"""Text checkpoint format for models; round-trips float64 bit-exactly.
+"""Binary checkpoint files of models; round-trips float64 bit-exactly.
 
-Layout (line oriented):
+Little-endian layout:
 
-    qgdream-checkpoint 1
-    layer_sizes <comma-separated ints>
-    activation relu|elu
-    alpha <float>
-    activate_output 0
-    seed <int or none>
-    layer <i> weights <rows> <cols>
-    <one row per line, %.17g space-separated>
-    layer <i> biases <n>
-    <one line>
+    magic    19 bytes  b"qgdream-checkpoint "
+    version  2 bytes   b"2\n", so the file opens with the line "qgdream-checkpoint 2"
+    act      u8        0 = relu, 1 = elu
+    alpha    f64       ELU alpha; recorded for relu too
+    no_seed  u8        1 if the model has no seed, else 0
+    seed     u64       0 when no_seed is 1
+    count    u32       number of layer sizes
+    sizes    count * u32
+    params   every weight matrix (out, in), then every bias vector, as <f8,
+             in the flat order that nn._layer_views slices
 
-The activate_output line is always 0: the output layer is never
-activated. The reader rejects any other value.
+The output layer is never activated. A version-1 (text) file opens with
+"qgdream-checkpoint 1" and so gets a version error.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import math
+import os
+import struct
 
 import numpy as np
 
-from .nn import Mlp
+from .nn import Mlp, _layer_views
 
-FORMAT_VERSION = 1
-_HEADER_KEYS = ("layer_sizes", "activation", "alpha", "activate_output", "seed")
+MAGIC = b"qgdream-checkpoint "
+FORMAT_VERSION = 2
+_VERSION = b"%d\n" % FORMAT_VERSION
+_HEADER = struct.Struct("<19s2sBdBQI")
+_ACTIVATIONS = ("relu", "elu")  # indexed by the activation tag
 
 
 class CheckpointError(ValueError):
     """Malformed or wrong-version checkpoint file."""
 
 
-def _fmt(arr):
-    return " ".join(f"{v:.17g}" for v in arr)
-
-
 def save_checkpoint(model, path):
-    lines = [f"qgdream-checkpoint {FORMAT_VERSION}"]
-    lines.append("layer_sizes " + ",".join(str(s) for s in model.layer_sizes))
-    lines.append(f"activation {model.activation}")
-    lines.append(f"alpha {model.alpha:.17g}")
-    lines.append("activate_output 0")
-    lines.append(f"seed {'none' if model.seed is None else model.seed}")
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"layer {i} weights {w.shape[0]} {w.shape[1]}")
-        lines.extend(_fmt(row) for row in w)
-        lines.append(f"layer {i} biases {len(b)}")
-        lines.append(_fmt(b))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write model to path; its seed must fit the header's u64."""
+    if model.seed is not None and not 0 <= model.seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64) to fit the file header, got {model.seed}")
+    sizes = model.layer_sizes
+    header = _HEADER.pack(MAGIC, _VERSION, _ACTIVATIONS.index(model.activation), model.alpha,
+                          model.seed is None, model.seed or 0, len(sizes))
+    params = np.concatenate([p.ravel() for p in [*model.weights, *model.biases]],
+                            dtype="<f8")
+    with open(path, "wb") as f:
+        f.write(header + struct.pack(f"<{len(sizes)}I", *sizes))
+        f.write(memoryview(params))
 
 
 def load_checkpoint(path):
-    """The model a checkpoint file holds; CheckpointError names the file."""
-    try:
-        return _parse_checkpoint(Path(path).read_text().splitlines(), path)
-    except CheckpointError:
-        raise
-    except ValueError as exc:  # undecodable bytes, bad numbers or sizes, ragged rows
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    """The model a checkpoint file holds; CheckpointError names the file.
 
-
-def _parse_checkpoint(lines, path):
-    if not lines or not lines[0].startswith("qgdream-checkpoint"):
-        raise CheckpointError(f"{path}: not a qgdream checkpoint")
-    magic = lines[0].split()
-    if len(magic) < 2:
-        raise CheckpointError(f"{path}: checkpoint version missing")
-    if int(magic[1]) != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {magic[1]}, expected {FORMAT_VERSION}")
-    pos = 1 + len(_HEADER_KEYS)
-    if len(lines) < pos:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    header = dict(line.partition(" ")[::2] for line in lines[1:pos])
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    alpha = float(header["alpha"])
-    if not np.isfinite(alpha):
-        raise CheckpointError(f"{path}: non-finite alpha {header['alpha']}")
-    if header["activation"] not in ("relu", "elu"):
-        raise CheckpointError(f"{path}: unknown activation {header['activation']!r}")
-    if header["activate_output"] != "0":
-        raise CheckpointError(
-            f"{path}: activate_output {header['activate_output']!r}, expected 0")
-    layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
-    if len(layer_sizes) < 2 or min(layer_sizes) < 1:
-        raise ValueError(f"layer_sizes {header['layer_sizes']} must hold 2 or more sizes >= 1")
-    weights, biases = [], []
-    for i, (n_in, n_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
-        w, pos = _block(lines, pos, f"layer {i} weights {n_out} {n_in}", n_out, n_in, path)
-        b, pos = _block(lines, pos, f"layer {i} biases {n_out}", 1, n_out, path)
+    Its weights and biases are views of one float64 buffer.
+    """
+    with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+        if not header.startswith(MAGIC):
+            raise CheckpointError(f"{path}: not a qgdream checkpoint")
+        if len(header) < _HEADER.size:
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        _, version, act, alpha, no_seed, seed, count = _HEADER.unpack(header)
+        if version != _VERSION:
+            raise CheckpointError(f"{path}: checkpoint version "
+                                  f"{version.decode('ascii', 'backslashreplace').strip()}, "
+                                  f"expected {FORMAT_VERSION}")
+        if act >= len(_ACTIVATIONS):
+            raise CheckpointError(f"{path}: unknown activation tag {act}")
+        if not math.isfinite(alpha):
+            raise CheckpointError(f"{path}: non-finite alpha {alpha}")
+        if no_seed > 1:
+            raise CheckpointError(f"{path}: seed flag {no_seed}, expected 0 or 1")
+        # checked before the sizes are read, so a corrupt count allocates nothing
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size + 4 * count:
+            raise CheckpointError(f"{path}: truncated checkpoint: size {size} cannot hold "
+                                  f"{count} layer sizes")
+        sizes = list(struct.unpack(f"<{count}I", f.read(4 * count)))
+        if count < 2:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint: needs 2 or more layer sizes, has {count}")
+        if 0 in sizes:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint: layer size {sizes.index(0)} is 0")
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+        expected = _HEADER.size + 4 * count + 8 * n_params
+        if size != expected:
+            raise CheckpointError(
+                f"{path}: size {size} != expected {expected} for {count} layer sizes")
+        params = np.empty(n_params, dtype="<f8")
+        if f.readinto(params) != params.nbytes:
+            raise CheckpointError(f"{path}: file shrank while being read")
+    weights, biases = _layer_views(params, sizes)
+    for i, (w, b) in enumerate(zip(weights, biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise CheckpointError(f"{path}: layer {i} has non-finite parameters")
-        weights.append(w)
-        biases.append(b[0])
-    if any(line.strip() for line in lines[pos:]):
-        raise CheckpointError(f"{path}: data after the {len(weights)} layers "
-                              f"that layer_sizes give")
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    return Mlp(layer_sizes, header["activation"], weights, biases, alpha=alpha, seed=seed)
-
-
-def _block(lines, pos, title, rows, cols, path):
-    """The (rows, cols) values under the line lines[pos], which must read as
-    title, and the position after them."""
-    block = lines[pos:pos + 1 + rows]
-    if len(block) < 1 + rows:
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    if block[0].split() != title.split():
-        raise CheckpointError(f"{path}: block {block[0]!r}, but layer_sizes give {title!r}")
-    values = np.array([line.split() for line in block[1:]], dtype=np.float64)
-    if values.shape[1] != cols:
-        raise CheckpointError(f"{path}: {title!r} has rows of {values.shape[1]} values, "
-                              f"but layer_sizes give {cols}")
-    return values, pos + 1 + rows
+    return Mlp(sizes, _ACTIVATIONS[act], weights, biases, alpha=alpha,
+               seed=None if no_seed else seed)

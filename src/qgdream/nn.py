@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr_init}")
         if self.convergence_patience < 1:
             raise ValueError(f"convergence patience must be >= 1, got {self.convergence_patience}")
+        if not 0 <= self.seed < 2 ** 64:  # the checkpoint header holds it as a u64
+            raise ValueError(f"seed must be in [0, 2**64) to fit the file header, got {self.seed}")
 
 
 @dataclass

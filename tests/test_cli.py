@@ -217,12 +217,13 @@ def test_entropy_without_hidden_layer_error_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["activations", "entropy"])
 def test_one_layer_size_checkpoint_error_exit(tmp_path, capsys, command):
-    # layer_sizes 24 with no layer block used to load: activations then ended
-    # in an IndexError traceback, entropy in exit 0 and a header-only table
+    # a net of one layer size and no layer used to load: activations then
+    # ended in an IndexError traceback, entropy in exit 0 and a header-only table
     ckpt, out = tmp_path / "net.ckpt", tmp_path / "out.csv"
-    save_checkpoint(init_mlp([24, 4, 1], seed=0), ckpt)
-    header = "\n".join(ckpt.read_text().splitlines()[:6])
-    ckpt.write_text(header.replace("layer_sizes 24,4,1", "layer_sizes 24") + "\n")
+    save_checkpoint(init_mlp([24, 1], seed=0), ckpt)
+    data = bytearray(ckpt.read_bytes()[:47])  # the header and the size 24
+    data[39:43] = (1).to_bytes(4, "little")  # the count of layer sizes
+    ckpt.write_bytes(bytes(data))
     assert main([command, "--checkpoint", str(ckpt), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: malformed checkpoint: ")
@@ -311,13 +312,13 @@ def test_bad_batch_size_error_exit(workspace, tmp_path, capsys, batch):
 
 def _header_only(ckpt, tmp_path):
     path = tmp_path / "header.ckpt"
-    path.write_text("\n".join(ckpt.read_text().splitlines()[:3]) + "\n")
+    path.write_bytes(ckpt.read_bytes()[:43])  # the fixed header, no layer sizes
     return path
 
 
 def _bare_magic(ckpt, tmp_path):
     path = tmp_path / "bare.ckpt"
-    path.write_text("qgdream-checkpoint\n")
+    path.write_bytes(b"qgdream-checkpoint ")
     return path
 
 
@@ -335,7 +336,9 @@ def test_malformed_checkpoint_error_exit(workspace, tmp_path, capsys, make):
     bad = make(ckpt, tmp_path)
     assert main(["dream", "--checkpoint", str(bad), "--runs", "3", "--steps", "5",
                  "--out", str(tmp_path / "ens.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 _GRAPH_COMMANDS = [["dream", "--steps", "5"], ["activations"], ["export"]]
@@ -608,7 +611,7 @@ def test_fuzzed_dataset_file_exits_cleanly(small_files, tmp_path, data):
 @given(data=st.data())
 def test_fuzzed_checkpoint_file_exits_cleanly(small_files, tmp_path, data):
     valid = small_files[1]
-    cut, edits = data.draw(_mutations(len(valid), 100))
+    cut, edits = data.draw(_mutations(len(valid), 55))  # header and 3 layer sizes
     ckpt, out = tmp_path / "net.ckpt", tmp_path / "traj.csv"
     ckpt.write_bytes(_mutated(valid, cut, edits))
     code, last = _run_fuzzed(["dream", "--checkpoint", ckpt, "--steps", "5", "--stride", "5",
@@ -618,6 +621,18 @@ def test_fuzzed_checkpoint_file_exits_cleanly(small_files, tmp_path, data):
         assert last.startswith("error:")
     else:
         assert _non_finite_cells(out, skip=("true",)) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_train_seed_beyond_u64_error_exit(workspace, tmp_path, capsys, seed):
+    # the checkpoint header holds the seed as a u64; 2**64 used to train and
+    # then fail to pack the header in a traceback
+    _, ds, _ = workspace
+    assert main(["train", "--dataset", str(ds), "--layers", "24,4,1", "--max-epochs", "2",
+                 f"--seed={seed}", "--out", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: seed must be in [0, 2**64) to fit the file header, got {seed}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
