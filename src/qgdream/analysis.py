@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dreaming import DreamConfig, dream_layer
+from .dreaming import dream_layer
 from .nn import forward
 
 #: Upper entropy bound for a normalized 3x16 array: log2(48).
@@ -59,7 +59,7 @@ class EntropyProfile:
         return [int(np.count_nonzero(np.isnan(h))) for h in self.entropies]
 
 
-def entropy_profile(model, k_inits=20, cfg=None):
+def entropy_profile(model, k_inits, cfg):
     """Dream on every hidden neuron and aggregate entropies per layer.
 
     Each hidden layer is one batch of dreaming.dream_layer (every neuron x
@@ -72,7 +72,6 @@ def entropy_profile(model, k_inits=20, cfg=None):
     """
     if model.n_layers < 2:
         raise ValueError(f"layer sizes {model.layer_sizes} have no hidden layer to profile")
-    cfg = cfg or DreamConfig()
     return EntropyProfile([neuron_entropy(dream_layer(model, layer, k_inits, cfg)[1])
                            for layer in range(1, model.n_layers)])
 
@@ -80,8 +79,7 @@ def entropy_profile(model, k_inits=20, cfg=None):
 @dataclass
 class WeightedActivationMap:
     layers: list[np.ndarray]  # per transition: |W[out,in] * a[in]|, globally normalized
-    masks: list[np.ndarray]   # entries >= threshold
-    threshold: float
+    masks: list[np.ndarray]   # entries >= the threshold
     global_max: float         # pre-normalization maximum
 
 
@@ -104,7 +102,7 @@ def weighted_activations(model, x, threshold=0.05):
     if global_max > 0.0:
         layers = [layer / global_max for layer in layers]
     masks = [layer >= threshold for layer in layers]
-    return WeightedActivationMap(layers, masks, threshold, global_max)
+    return WeightedActivationMap(layers, masks, global_max)
 
 
 @dataclass

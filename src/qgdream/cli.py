@@ -155,7 +155,7 @@ def _resolve(argv):
         file_values = parse_config(args.config)
         unknown = set(file_values) - set(options)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         namespace = argparse.Namespace(command=args.command, **{
             key: _convert(options[key], raw, args.config, key)
             for key, raw in file_values.items()})

@@ -15,11 +15,12 @@ from one states.property_value call per frame of graphs.
 
 Per-dream invariants are resolved once, before the first step, so that a
 step costs about its arithmetic: _dream_rows resolves the selection
-(nn.resolve_selection: the gathered weight rows, the range checks and the
-transposes) and hands it to every gradient call, indexing it by row again
-only when rows leave the ascent, and dream_oracle resolves its Property
-and calls states.property_gradient on its one row, whose state is built
-without the batch kernel. The clamp is two in-place ufuncs.
+(nn.resolve_selection: the range checks, the gathered weight rows, the
+transposes, and read-only views of the shared layers, so that a dream
+cannot write to its model) and hands it to every gradient call, indexing
+it by row again only when rows leave the ascent; dream_oracle resolves its
+Property and calls states.property_gradient on its one row, whose state is
+built without the batch kernel. The clamp is two in-place ufuncs.
 
 A row leaves the ascent once a step leaves its bits unchanged, and later
 steps run only on the rows still moving; a dream whose rows have all left
@@ -201,9 +202,9 @@ def _dream_rows(model, x0, cfg, select=None):
     """_ascend of each row of x0 on its selected neuron (see nn.input_gradient).
 
     The selection is resolved once, before the first step, and indexed by
-    row again only when rows leave the ascent.
+    row again only when rows leave the ascent. Its shared layers are
+    read-only views and its selected layer copies, so no step writes the model.
     """
-    before = model.checksum()
     sel = resolve_selection(model, select, len(np.atleast_2d(x0)))
     active = sel
 
@@ -213,9 +214,7 @@ def _dream_rows(model, x0, cfg, select=None):
             active = sel.take(rows)
         return input_gradient(model, x, active)
 
-    frames = _ascend(gradient, x0, cfg)
-    assert model.checksum() == before, "model parameters changed during dreaming"
-    return frames
+    return _ascend(gradient, x0, cfg)
 
 
 def _trajectory(steps, graphs, predicted, true):

@@ -12,9 +12,17 @@ from pathlib import Path
 
 
 def parse_config(path):
-    """Flat key=value file -> dict of strings. '#' starts a comment."""
+    """Flat key=value file -> dict of strings. '#' starts a comment.
+
+    Raises ValueError, naming the file, on bytes that are not text or a
+    line that is not key=value.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -47,7 +47,7 @@ class Mlp:
         return len(self.weights)
 
     def checksum(self):
-        """Order-sensitive parameter digest; used by the frozen-model checks."""
+        """Order-sensitive SHA-256 digest of every weight and bias."""
         import hashlib
         h = hashlib.sha256()
         for w, b in zip(self.weights, self.biases):
@@ -262,11 +262,11 @@ class Selection:
     """The sub-net that each of `rows` inputs ascends, resolved once.
 
     weights and biases run from the first layer to the selected one. The
-    prefix layers are the model's own; the selected layer holds each row's
-    weight row as (rows, 1, in) and its bias as (rows, 1). weights_t holds
-    the transposes the forward products take (views, made once). hidden is
-    True when the selected neuron is a hidden one, differentiated after its
-    activation.
+    prefix layers are read-only views of the model's own, so a write through
+    them raises ValueError; the selected layer holds a copy of each row's
+    weight row as (rows, 1, in) and bias as (rows, 1). weights_t holds the
+    forward products' transposes (views, made once). hidden is True when
+    the selected neuron is a hidden one, differentiated after its activation.
     """
     rows: int
     weights: tuple
@@ -301,8 +301,9 @@ def resolve_selection(model, select, n):
     neurons = np.broadcast_to(np.asarray(neurons, dtype=np.intp), (n,))
     if np.any(neurons < 0) or np.any(neurons >= model.layer_sizes[layer]):
         raise ValueError(f"neuron out of range for layer {layer}")
-    weights = model.weights[:layer - 1] + [model.weights[layer - 1][neurons][:, None, :]]
-    biases = model.biases[:layer - 1] + [model.biases[layer - 1][neurons][:, None]]
+    weights, biases = ([np.broadcast_to(a, a.shape) for a in arrays[:layer - 1]]  # read-only views
+                       + [arrays[layer - 1][neurons][:, None]]
+                       for arrays in (model.weights, model.biases))
     return Selection(n, tuple(weights), tuple(np.swapaxes(w, -1, -2) for w in weights),
                      tuple(biases), layer < model.n_layers)
 

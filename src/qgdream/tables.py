@@ -57,8 +57,9 @@ def _true_value(path, text):
 def read_ensemble(path):
     """Inverse of write_ensemble: -> (initial, final) float lists.
 
-    Raises ValueError, naming the file, when a column is missing or a true
-    value is not a number in [0, 1].
+    Raises ValueError, naming the file, when its bytes are not text, a
+    column is missing, no row follows the header, or a true value is not a
+    number in [0, 1].
     """
     columns = ("initial_true", "final_true")
     try:
@@ -68,8 +69,10 @@ def read_ensemble(path):
             if missing:
                 raise ValueError(f"{path}: ensemble table lacks {', '.join(missing)}")
             rows = list(reader)
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: ensemble table has no rows")
     return tuple([_true_value(path, row[c]) for row in rows] for c in columns)
 
 
@@ -123,11 +126,10 @@ def read_graph_weights(path):
     """24 whitespace/comma-separated weights from a text file.
 
     Each weight must be a number in [-1, 1], the range that datasets are
-    drawn from and that dreaming clamps to.
+    drawn from and that dreaming clamps to. Every ValueError names the file.
     """
-    text = Path(path).read_text().replace(",", " ")
-    try:
-        values = [float(v) for v in text.split()]
+    try:  # a UnicodeDecodeError (bytes that are not text) is a ValueError too
+        values = [float(v) for v in Path(path).read_text().replace(",", " ").split()]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if len(values) != N_EDGES:

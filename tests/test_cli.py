@@ -288,11 +288,31 @@ def test_config_does_not_leak_into_the_next_call(workspace, tmp_path):
     assert float(parse_config(f"{second}.manifest")["config.lr"]) == DreamConfig.lr
 
 
-def test_unknown_config_key_fails(workspace, tmp_path):
+def _one_error_naming(capsys, tmp_path, path):
+    """The run printed exactly one error line, naming path, and wrote nothing beside it."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert list(tmp_path.iterdir()) == [path]
+    return err[0]
+
+
+# a UTF-16 byte-order mark: no UTF-8 text starts with these bytes
+_NOT_TEXT = b"\xff\xfe0.5\n"
+
+
+def test_unknown_config_key_fails(workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus=1\n")
     out = tmp_path / "x.qgdd"
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    assert _one_error_naming(capsys, tmp_path, cfg) == f"error: {cfg}: unknown config keys: ['bogus']"
+
+
+def test_undecodable_config_error_exit(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(_NOT_TEXT)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.qgdd")]) == 1
+    _one_error_naming(capsys, tmp_path, cfg)
 
 
 def test_missing_file_error_exit(tmp_path):
@@ -362,6 +382,15 @@ def test_non_finite_graph_error_exit(workspace, tmp_path, capsys, command, bad):
     assert err.startswith("error:") and str(graph) in err
 
 
+@pytest.mark.parametrize("command", _GRAPH_COMMANDS, ids=lambda c: c[0])
+def test_undecodable_graph_error_exit(workspace, tmp_path, capsys, command):
+    _, _, ckpt = workspace
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes(_NOT_TEXT)
+    assert main(_graph_argv(command, graph, ckpt, tmp_path / "out")) == 1
+    _one_error_naming(capsys, tmp_path, graph)
+
+
 def test_graph_with_ensemble_error_exit(workspace, tmp_path, capsys):
     # --graph is the start of a single run; an ensemble draws its own starts
     _, _, ckpt = workspace
@@ -390,6 +419,15 @@ def test_malformed_ensemble_error_exit(tmp_path, capsys, text):
     assert main(["shift", "--ensemble", str(ens), "--out", str(tmp_path / "shift.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(ens) in err
+
+
+@pytest.mark.parametrize("data", [_NOT_TEXT, b"run,initial_true,final_true\n"],
+                         ids=["undecodable", "header-only"])
+def test_unreadable_ensemble_error_exit(tmp_path, capsys, data):
+    ens = tmp_path / "ens.csv"
+    ens.write_bytes(data)
+    assert main(["shift", "--ensemble", str(ens), "--out", str(tmp_path / "shift.csv")]) == 1
+    _one_error_naming(capsys, tmp_path, ens)
 
 
 def _non_finite_cells(path, skip=()):

@@ -51,12 +51,6 @@ class TestDream:
         traj = dream(m, g0, Property.GHZ_FIDELITY, small_cfg())
         assert np.array_equal(traj.final.weights, g0)
 
-    def test_model_frozen(self):
-        m = init_mlp([24, 8, 1], seed=1)
-        before = m.checksum()
-        dream(m, random_graph(2), Property.GHZ_FIDELITY, small_cfg())
-        assert m.checksum() == before
-
     def test_clamp_invariant(self):
         m = init_mlp([24, 8, 1], seed=2)
         traj = dream(m, random_graph(3), Property.GHZ_FIDELITY,
@@ -219,10 +213,37 @@ class TestDreamNeuron:
         with pytest.raises(ValueError, match=f"layer {layer} out of range 1..3"):
             dream_layer(m, layer, 2, small_cfg())
 
-    def test_model_frozen(self):
+
+_DREAMS = {
+    "dream": lambda m, cfg: dream(m, random_graph(2), Property.GHZ_FIDELITY, cfg),
+    "dream_ensemble": lambda m, cfg: dream_ensemble(m, Property.GHZ_FIDELITY, 3, cfg),
+    "dream_neuron": lambda m, cfg: dream_neuron(m, (2, 1), 2, cfg),
+    "dream_layer": lambda m, cfg: dream_layer(m, 2, 2, cfg),
+    "entropy_profile": lambda m, cfg: entropy_profile(m, 2, cfg),
+}
+
+
+class TestFrozenModel:
+    """A dream moves only its input graphs; the net it reads stays as it was."""
+
+    @pytest.mark.parametrize("use_adam", [False, True], ids=["plain", "adam"])
+    @pytest.mark.parametrize("entry", _DREAMS)
+    def test_dream_leaves_model_unchanged(self, entry, use_adam):
         m = init_mlp([24, 6, 6, 1], seed=12)
         before = m.checksum()
-        dream_neuron(m, (1, 0), 2, small_cfg(steps=10))
+        _DREAMS[entry](m, small_cfg(steps=10, lr=5e-2, use_adam=use_adam))
+        assert m.checksum() == before
+
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_write_through_shared_layer_raises(self, part):
+        m = init_mlp([24, 6, 6, 1], seed=12)
+        before = m.checksum()
+        shared_layers = getattr(resolve_selection(m, None, 3), part)[:-1]
+        assert len(shared_layers) == 2
+        for shared, own in zip(shared_layers, getattr(m, part)):
+            assert np.shares_memory(shared, own)  # a view, not a copy
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] += 1.0
         assert m.checksum() == before
 
 

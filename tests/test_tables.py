@@ -99,7 +99,7 @@ def _activation_map():
     # the masks are set by hand, so a kept entry need not clear the threshold
     masks = [np.array([[True, False, True], [True, True, True]]),
              np.array([[True, False]])]
-    return WeightedActivationMap([first, second], masks, 0.05, 2.0)
+    return WeightedActivationMap([first, second], masks, 2.0)
 
 
 ACTIVATION_MAP = [
