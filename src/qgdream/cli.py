@@ -2,7 +2,8 @@
 
 Subcommands: gen, train, dream, dream-neuron, entropy, activations,
 shift, export. Every run writes its artifacts plus a `<artifact>.manifest`
-recording the resolved config, inputs, and artifact checksums. Flags may
+recording the resolved config, inputs, artifact checksums and the metrics
+the command reports (`gen`: graphs drawn and kept). Flags may
 also be supplied through a flat key=value file via --config; explicit
 flags win.
 """
@@ -193,7 +194,8 @@ def cmd_gen(args, cfg):
     cap = None if cfg["cap"].lower() == "none" else float(cfg["cap"])
     ds = generate_dataset(cfg["prop"], cfg["n"], cap=cap, seed=cfg["seed"])
     write_dataset(ds, args.out)
-    return cfg, [], [args.out]
+    metrics = {"drawn": ds.drawn, "kept": ds.kept, "accept_rate": f"{ds.kept / ds.drawn:.6g}"}
+    return cfg, [], [args.out], metrics
 
 
 def cmd_train(args, cfg):
@@ -211,7 +213,7 @@ def cmd_train(args, cfg):
     print(f"trained {cfg['layers']}: {history.epochs_run} epochs "
           f"(stopped by {history.stop_reason}), best test MSE "
           f"{history.final_test_mse:.3e} at epoch {history.best_epoch}")
-    return cfg, [args.dataset], [args.out, history_path]
+    return cfg, [args.dataset], [args.out, history_path], {}
 
 
 def cmd_dream(args, cfg):
@@ -235,7 +237,7 @@ def cmd_dream(args, cfg):
         report = analysis.shift_report(result.initial_true, result.final_true)
         print(f"ensemble of {cfg['runs']}: mean true {report.mean_initial:.4f} "
               f"-> {report.mean_final:.4f}, {len(result.failures)} failures")
-    return cfg, inputs, [args.out]
+    return cfg, inputs, [args.out], {}
 
 
 def cmd_dream_neuron(args, cfg):
@@ -243,7 +245,7 @@ def cmd_dream_neuron(args, cfg):
     results = dreaming.dream_neuron(model, (args.layer, args.neuron), cfg["inits"],
                                     _dream_config(cfg))
     tables.write_neuron_dreams(results, args.out)
-    return dict(cfg, layer=args.layer, neuron=args.neuron), [args.checkpoint], [args.out]
+    return dict(cfg, layer=args.layer, neuron=args.neuron), [args.checkpoint], [args.out], {}
 
 
 def cmd_entropy(args, cfg):
@@ -252,7 +254,7 @@ def cmd_entropy(args, cfg):
     tables.write_entropy_profile(profile, args.out)
     means = ", ".join(f"{h:.3f}" for h in profile.per_layer)
     print(f"per-layer mean entropy: {means}")
-    return cfg, [args.checkpoint], [args.out]
+    return cfg, [args.checkpoint], [args.out], {}
 
 
 def cmd_activations(args, cfg):
@@ -261,7 +263,7 @@ def cmd_activations(args, cfg):
     amap = analysis.weighted_activations(model, _start_graph(args, cfg, inputs),
                                          cfg["threshold"])
     tables.write_activation_map(amap, args.out)
-    return cfg, inputs, [args.out]
+    return cfg, inputs, [args.out], {}
 
 
 def cmd_shift(args, cfg):
@@ -272,14 +274,14 @@ def cmd_shift(args, cfg):
     tables.write_shift_report(report, args.out)
     print(f"mean shift {report.mean_final - report.mean_initial:.4f}, "
           f"fraction above {cfg['cap']:g}: {report.fraction_above_cap:.3f}")
-    return cfg, [args.ensemble], [args.out]
+    return cfg, [args.ensemble], [args.out], {}
 
 
 def cmd_export(args, cfg):
     weights = tables.read_graph_weights(args.graph)
     with open(args.out, "w") as f:
         f.write(export_dot(weights, cfg["threshold"]))
-    return cfg, [args.graph], [args.out]
+    return cfg, [args.graph], [args.out], {}
 
 
 _COMMANDS = {
@@ -298,12 +300,12 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         args, cfg = _resolve(argv)
-        cfg, inputs, outputs = _COMMANDS[args.command](args, cfg)
+        cfg, inputs, outputs, metrics = _COMMANDS[args.command](args, cfg)
     except (OSError, ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a list's has no text
         return 1
     write_manifest(f"{args.out}.manifest", args.command, cfg, inputs, outputs,
-                   time.perf_counter() - start)
+                   time.perf_counter() - start, metrics)
     return 0
 
 

@@ -27,7 +27,14 @@ from .states import Property, property_value_batch, random_graph
 MAGIC = b"QGDD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBQQ")
-CHUNK = 20000  # graphs drawn per rejection-sampling round
+#: Graphs drawn per rejection-sampling round. One round's state kernel holds
+#: its 48 matching terms per graph in float64, 48 * 2048 * 8 B = 0.79 MB,
+#: which fits a 2 MB per-core L2 and keeps the working set beside the records
+#: near 2.4 MB. The records do not depend on it: the draws are one stream.
+CHUNK = 2048
+#: Draws after which a sustained acceptance below 0.1% aborts generation,
+#: counted in graphs so that the chunk size does not move it.
+ABORT_DRAWS = 200_000
 
 PROPERTY_TAGS = {Property.GHZ_FIDELITY: 0, Property.W_FIDELITY: 1,
                  Property.MEAN_PURITY: 2}
@@ -48,6 +55,10 @@ class Dataset:
     inputs: np.ndarray   # (n, 24) float32
     labels: np.ndarray   # (n,) float32
     seed: int
+    # generation telemetry, not stored in the file (None when read from one):
+    # graphs drawn, and those of them whose label met the cap
+    drawn: int | None = None
+    kept: int | None = None
 
     def __len__(self):
         return len(self.labels)
@@ -59,8 +70,14 @@ def generate_dataset(prop, n, cap=0.5, seed=0):
     cap=None disables filtering (evaluation sets); any other cap must be a
     number in (0, 1], as every property lies in [0, 1], and applies to the
     float32 label as stored. Degenerate graphs are always rejected.
-    Deterministic per seed, which must fit the header's u64. Aborts if the
-    sustained acceptance rate drops below 0.1%.
+    Deterministic per seed, which must fit the header's u64.
+
+    Graphs are drawn CHUNK at a time from one generator, and the records are
+    the first n accepted rows in draw order, so the chunk size never changes
+    them; it bounds the working set to one chunk's temporaries beside the
+    records. The result's drawn counts every graph drawn (whole chunks) and
+    kept those of them accepted, the n records first. Aborts with
+    RuntimeError once ABORT_DRAWS graphs are drawn with under 0.1% accepted.
     """
     prop = Property(prop)
     if n < 1:
@@ -86,21 +103,29 @@ def generate_dataset(prop, n, cap=0.5, seed=0):
         labels[kept:kept + len(rows)] = values[rows]
         drawn += CHUNK
         kept += int(np.count_nonzero(mask))
-        if drawn >= 10 * CHUNK and kept < 0.001 * drawn:
+        if drawn >= ABORT_DRAWS and kept < 0.001 * drawn:
             raise RuntimeError(
                 f"rejection rate above 99.9% sustained ({kept}/{drawn} kept); "
                 f"cap {cap} looks unattainable for {prop.value}")
-    return Dataset(prop, inputs, labels, seed)
+    return Dataset(prop, inputs, labels, seed, drawn, kept)
 
 
 def write_dataset(ds, path):
-    header = _HEADER.pack(MAGIC, VERSION, PROPERTY_TAGS[ds.prop], len(ds), ds.seed)
-    records = np.empty((len(ds), 25), dtype="<f4")
-    records[:, :24] = ds.inputs
-    records[:, 24] = ds.labels
+    """Write ds to path in the layout above.
+
+    The records go out CHUNK at a time through one reused (CHUNK, 25) block,
+    so writing holds no (n, 25) copy of them; the bytes are those of one.
+    """
+    n = len(ds)
+    header = _HEADER.pack(MAGIC, VERSION, PROPERTY_TAGS[ds.prop], n, ds.seed)
+    block = np.empty((min(CHUNK, n), 25), dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(memoryview(records))
+        for start in range(0, n, CHUNK):
+            part = block[:min(CHUNK, n - start)]
+            part[:, :24] = ds.inputs[start:start + len(part)]
+            part[:, 24] = ds.labels[start:start + len(part)]
+            f.write(memoryview(part))
 
 
 def read_dataset(path):

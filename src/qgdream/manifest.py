@@ -1,8 +1,9 @@
 """Run manifests and flat key=value config files.
 
 Every CLI run writes a manifest recording the subcommand, the resolved
-configuration, seeds, input/output paths, wall time, and a sha256 per
-artifact, so any artifact can be reproduced from its manifest.
+configuration, seeds, input/output paths, wall time, a sha256 per
+artifact and the metrics the command reports, so any artifact can be
+reproduced from its manifest.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, subcommand, config, inputs, outputs, wall_time_s):
-    """key=value manifest; artifact checksums are computed here."""
+def write_manifest(path, subcommand, config, inputs, outputs, wall_time_s, metrics):
+    """key=value manifest; artifact checksums are computed here.
+
+    metrics maps a name to what the run measured, written as metric.<name>.
+    """
     lines = [f"subcommand={subcommand}"]
     for key in sorted(config):
         lines.append(f"config.{key}={config[key]}")
@@ -51,5 +55,7 @@ def write_manifest(path, subcommand, config, inputs, outputs, wall_time_s):
     for i, p in enumerate(outputs):
         lines.append(f"output.{i}={p}")
         lines.append(f"sha256.{Path(p).name}={sha256_file(p)}")
+    for key in sorted(metrics):
+        lines.append(f"metric.{key}={metrics[key]}")
     lines.append(f"wall_time_s={wall_time_s:.3f}")
     Path(path).write_text("\n".join(lines) + "\n")

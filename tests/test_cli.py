@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qgdream import dataset
 from qgdream.cli import main
 from qgdream.checkpoint import load_checkpoint, save_checkpoint
 from qgdream.dataset import generate_dataset, read_dataset
@@ -54,6 +55,13 @@ def test_gen_writes_dataset_and_manifest(workspace):
     assert manifest["subcommand"] == "gen"
     assert manifest["config.seed"] == "11"
     assert manifest[f"sha256.{ds.name}"] == sha(ds)
+    # the draw counts, which the file does not hold, are the generator's own
+    again = generate_dataset("ghz_fidelity", 3000, seed=11)
+    assert int(manifest["metric.drawn"]) == again.drawn == 2 * dataset.CHUNK
+    assert int(manifest["metric.kept"]) == again.kept
+    assert float(manifest["metric.accept_rate"]) == pytest.approx(again.kept / again.drawn)
+    assert [k for k in manifest if k.startswith("metric.")] == [
+        "metric.accept_rate", "metric.drawn", "metric.kept"]
 
 
 def test_gen_rerun_byte_identical(workspace, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,8 @@ from qgdream.dataset import (
 from qgdream.states import Property, property_value, random_graph
 
 import oracles
+
+DEFAULT_CHUNK = dataset.CHUNK
 
 
 class TestGenerate:
@@ -56,22 +59,48 @@ class TestGenerate:
         assert peak < 1.5 * n * 25 * 4
         assert len(ds) == n and ds.inputs.flags.c_contiguous
 
+    def test_working_set_bounded_by_chunk(self):
+        # one chunk's state-kernel temporaries sit beside the records: about
+        # 2.4 MB at 2048 rows, where 20,000-row chunks held about 24 MB
+        n = 20_000
+        tracemalloc.start()
+        try:
+            ds = generate_dataset("ghz_fidelity", n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n
+        assert peak < n * 25 * 4 + 4_000_000
+
     def test_chunk_size_does_not_change_records(self, monkeypatch):
-        # the last chunk is cut at n, so only the first n accepted rows count
-        b = generate_dataset("mean_purity", 3000, cap=0.5, seed=4)
-        monkeypatch.setattr(dataset, "CHUNK", 1000)
-        a = generate_dataset("mean_purity", 3000, cap=0.5, seed=4)
-        assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.labels, b.labels)
+        # the draws are one stream and the last chunk is cut at n, so only the
+        # first n accepted rows count, whatever the chunk: the old 20,000, the
+        # default and an odd size, against 1000
+        n = 3000
+        for prop in Property:
+            monkeypatch.setattr(dataset, "CHUNK", 1000)
+            b = generate_dataset(prop, n, cap=0.5, seed=4)
+            for chunk in (20_000, DEFAULT_CHUNK, 777):
+                monkeypatch.setattr(dataset, "CHUNK", chunk)
+                a = generate_dataset(prop, n, cap=0.5, seed=4)
+                assert np.array_equal(a.inputs, b.inputs), (prop, chunk)
+                assert np.array_equal(a.labels, b.labels), (prop, chunk)
+                assert a.drawn % chunk == 0 and n <= a.kept <= a.drawn
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_dataset("ghz_fidelity", 0, seed=0)
 
     def test_hopeless_cap_aborts(self, monkeypatch):
-        # mean purity is at least (4 * 1/2 + 3 * 1/4) / 7 > 0.39 for any state
-        monkeypatch.setattr(dataset, "CHUNK", 1000)
-        with pytest.raises(RuntimeError, match="rejection"):
-            generate_dataset("mean_purity", 10, cap=0.3, seed=0)
+        # mean purity is at least (4 * 1/2 + 3 * 1/4) / 7 > 0.39 for any state.
+        # The abort point is counted in draws, so a smaller chunk does not
+        # give up on a sparse but feasible cap sooner
+        for chunk in (1000, DEFAULT_CHUNK):
+            monkeypatch.setattr(dataset, "CHUNK", chunk)
+            with pytest.raises(RuntimeError, match="rejection") as exc:
+                generate_dataset("mean_purity", 10, cap=0.3, seed=0)
+            drawn = int(re.search(r"\(0/(\d+) kept\)", str(exc.value)).group(1))
+            assert 200_000 <= drawn < 200_000 + chunk
 
     @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0, 0.0, 1.5])
     def test_cap_outside_unit_interval_rejected_before_drawing(self, monkeypatch, cap):
@@ -131,6 +160,26 @@ class TestRoundTrip:
         write_dataset(ds, tmp_path / "new.qgdd")
         oracles.write_dataset(ds, tmp_path / "ref.qgdd")
         assert (tmp_path / "new.qgdd").read_bytes() == (tmp_path / "ref.qgdd").read_bytes()
+
+    def test_records_written_through_one_block(self, tmp_path):
+        # records go out a chunk at a time through one reused block; building
+        # the (n, 25) records first peaked at their whole size (5 MB here)
+        rng = np.random.default_rng(0)
+        n = 50_000
+        ds = Dataset(Property.GHZ_FIDELITY,
+                     rng.uniform(-1, 1, (n, 24)).astype(np.float32),
+                     rng.uniform(0, 1, n).astype(np.float32), 0)
+        path = tmp_path / "ds.qgdd"
+        tracemalloc.start()
+        try:
+            write_dataset(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dataset.CHUNK * 25 * 4 + 16_384
+        back = read_dataset(path)
+        assert np.array_equal(back.inputs, ds.inputs) and np.array_equal(back.labels, ds.labels)
+        assert back.drawn is None and back.kept is None
 
     def test_records_read_once(self, tmp_path):
         # the records go straight into one array; reading the file into bytes
