@@ -25,13 +25,12 @@ import struct
 
 import numpy as np
 
-from .nn import Mlp, _layer_views
+from .nn import _ACTIVATIONS, Mlp, _layer_views
 
 MAGIC = b"qgdream-checkpoint "
 FORMAT_VERSION = 2
 _VERSION = b"%d\n" % FORMAT_VERSION
 _HEADER = struct.Struct("<19s2sBdBQI")
-_ACTIVATIONS = ("relu", "elu")  # indexed by the activation tag
 
 
 class CheckpointError(ValueError):

@@ -78,7 +78,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--layers", type=_layer_list, default="24,128,128,128,1",
                    help="comma-separated layer sizes, e.g. 24,128,128,128,1")
-    p.add_argument("--activation", choices=["relu", "elu"], default="relu")
+    p.add_argument("--activation", choices=nn._ACTIVATIONS, default="relu")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--batch-size", type=int, dest="batch_size",
                    default=nn.TrainConfig.batch_size)

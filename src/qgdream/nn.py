@@ -5,14 +5,16 @@ hand-written reverse mode (no autodiff framework). The passes compute in
 the model's dtype. Every model the package builds, saves or dreams on is
 float64; only train's forward and backward passes run in float32, on a
 float32 shadow of float64 master weights that Adam updates.
-The batched forward and backward passes work in place: one fresh array per
-layer, which the backward pass reuses for its deltas (through a width-1
-layer as a broadcast product, not a matmul), so a training batch does not
-churn through a dozen large temporaries. While train runs, each role's
-parameters (float64 master, float32 shadow, gradients, Adam moments) are
-views into one flat buffer, so a batch takes one Adam pass, one gradient
-cast and one shadow refresh. The training protocol's fixed split, Adam
-hyperparameters and plateau schedule are the module constants below.
+Training and dreams share one layer loop and differ only in its product:
+one gemm per layer, or row-exact blocks. It works in place: one fresh array
+per layer (ELU, which keeps z, makes a second), which training's backward
+pass reuses for its deltas (through a width-1 layer as a broadcast product,
+not a matmul), so a batch does not churn through a dozen large
+temporaries. While train runs, each role's parameters (float64 master,
+float32 shadow, gradients, Adam moments) are views into one flat buffer,
+so a batch takes one Adam pass, one gradient cast and one shadow refresh.
+The training protocol's fixed split, Adam hyperparameters and plateau
+schedule are the module constants below.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ TEST_FRACTION = 0.05    # 95:5 train-test split, at least one test row
 LR_DECAY = 0.95         # lr *= LR_DECAY after each PLATEAU_WINDOW epochs in which
 PLATEAU_WINDOW = 25     # the best test MSE did not improve by PLATEAU_REL_TOL
 PLATEAU_REL_TOL = 1e-3  # (relative): "does not change significantly"
+
+_ACTIVATIONS = ("relu", "elu")  # a checkpoint's activation tag is the index
 
 
 @dataclass
@@ -97,19 +101,21 @@ class TrainHistory:
 # Both keep z's dtype. alpha enters as a Python float: an np.float64 alpha
 # would promote a float32 pass to float64.
 
-def _activate(z, activation, alpha):
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "elu":
-        return np.where(z > 0.0, z, float(alpha) * np.expm1(z))
-    raise ValueError(f"unknown activation {activation!r}")
+def _activate(z, model):
+    """The hidden activation of z: ReLU in place (z itself), ELU a new array."""
+    if model.activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if model.activation == "elu":
+        return np.where(z > 0.0, z, float(model.alpha) * np.expm1(z))
+    raise ValueError(f"unknown activation {model.activation!r}")
 
 
-def _activate_grad(z, activation, alpha):
-    """The derivative at z; for ReLU a bool mask, exact as a multiplier."""
-    if activation == "relu":
-        return z > 0.0
-    return np.where(z > 0.0, 1.0, float(alpha) * np.exp(z))
+def _activation_grad(model, pre, post):
+    """A hidden layer's activation derivative: for ReLU the bool mask post > 0
+    (exactly z > 0, exact as a multiplier), for ELU from its kept z, pre."""
+    if model.activation == "relu":
+        return post > 0.0
+    return np.where(pre > 0.0, 1.0, float(model.alpha) * np.exp(pre))
 
 
 def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
@@ -117,6 +123,8 @@ def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"invalid layer sizes {sizes}")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     rng = np.random.default_rng(seed)
@@ -128,34 +136,44 @@ def init_mlp(layer_sizes, activation="relu", seed=0, alpha=1.0):
     return Mlp(sizes, activation, weights, biases, alpha=alpha, seed=seed)
 
 
-def _forward(model, x):
-    """(outputs, pre_activations, post_activations) of x, each layer in place.
+def _rows(model, x, dtype):
+    """(single, x as (n, d) rows of dtype); x may be (d,) or (n, d)."""
+    x = np.asarray(x, dtype=dtype)
+    rows = np.atleast_2d(x)
+    if rows.shape[1] != model.layer_sizes[0]:
+        raise ValueError(f"input width {rows.shape[1]} != {model.layer_sizes[0]}")
+    return x.ndim == 1, rows
 
-    Every layer's post-activation is one fresh array: the product a @ w.T,
-    to which the bias is added and, on a hidden layer, the ReLU applied in
-    place. The output layer is never activated. pre_activations has one
-    entry per hidden layer: z for ELU, whose derivative needs it, else
-    None. The lists stay batched for a single (d,) input. x is cast to the
-    model's dtype.
+
+def _layers(model, a, weights_t, biases, product):
+    """(pre_activations, post_activations) of rows a through these layers.
+
+    The layer loop of both passes, which differ only in product: np.matmul
+    for training, _rowwise for dreams. Each layer's post-activation is one
+    fresh array, product(a, w_t), to which the bias is added and, on a
+    hidden layer, the ReLU applied in place; the output layer is never
+    activated. pre_activations has one entry per hidden layer: z for ELU,
+    whose derivative needs it, else None. post_activations[0] is a.
     """
-    x = np.asarray(x, dtype=model.weights[0].dtype)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input width {a.shape[1]} != {model.layer_sizes[0]}")
     pres, posts = [], [a]
     last = model.n_layers - 1
-    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T
+    for layer, (w_t, b) in enumerate(zip(weights_t, biases)):
+        a = product(a, w_t)
         a += b
-        if layer < last and model.activation == "relu":
-            pres.append(None)
-            np.maximum(a, 0.0, out=a)
-        elif layer < last:
-            pres.append(a)
-            a = _activate(a, model.activation, model.alpha)
+        if layer < last:
+            pres.append(None if model.activation == "relu" else a)
+            a = _activate(a, model)
         posts.append(a)
-    out = a[:, 0] if a.shape[1] == 1 else a
+    return pres, posts
+
+
+def _forward(model, x):
+    """(outputs, pre_activations, post_activations) of x (see _layers), in
+    the model's dtype; the lists stay batched for a single (d,) input."""
+    single, a = _rows(model, x, model.weights[0].dtype)
+    pres, posts = _layers(model, a, [w.T for w in model.weights], model.biases, np.matmul)
+    out = posts[-1]
+    out = out[:, 0] if out.shape[1] == 1 else out
     if single:
         out = out[0] if np.ndim(out) else out
     return out, pres, posts
@@ -202,21 +220,13 @@ def param_gradients(model, x, y):
     n = len(y)
     loss = float(np.mean((out - y) ** 2, dtype=np.float64))
     delta = (2.0 / n) * (out - y)[:, None]  # dL/dz at the (identity) output
-    relu = model.activation == "relu"
-
-    def activate_grad(layer):
-        """Derivative of layer's activation: a bool mask for ReLU."""
-        if relu:
-            return posts[layer + 1] > 0.0
-        return _activate_grad(pres[layer], model.activation, model.alpha)
-
     w_grads = [None] * model.n_layers
     b_grads = [None] * model.n_layers
     for layer in range(model.n_layers - 1, -1, -1):
         w_grads[layer] = delta.T @ posts[layer]
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
-            grad = activate_grad(layer - 1)
+            grad = _activation_grad(model, pres[layer - 1], posts[layer])
             w = model.weights[layer]
             # Through a width-1 layer the product's inner dimension is 1,
             # which np.matmul runs in a scalar loop outside BLAS; the
@@ -233,7 +243,8 @@ BLOCK_ROWS = 8  # rows per fixed-shape product in _rowwise
 
 def _rowwise(a, w):
     """a @ w with row r's bits independent of the batch: a[r] @ w, or
-    a[r] @ w[r] for a stack.
+    a[r] @ w[r] for a stack. The dream side's layer product in _layers,
+    and its backward pass's.
 
     A 2-D w (a shared layer) runs in blocks of BLOCK_ROWS rows: the (n, d)
     rows are zero-padded to a multiple of BLOCK_ROWS (no copy when n is one
@@ -265,8 +276,9 @@ class Selection:
     prefix layers are read-only views of the model's own, so a write through
     them raises ValueError; the selected layer holds a copy of each row's
     weight row as (rows, 1, in) and bias as (rows, 1). weights_t holds the
-    forward products' transposes (views, made once). hidden is True when
-    the selected neuron is a hidden one, differentiated after its activation.
+    transposes that the layer loop (_layers) multiplies by, as views made
+    once. hidden is True when the selected neuron is a hidden one, which the
+    loop activates and input_gradient differentiates after its activation.
     """
     rows: int
     weights: tuple
@@ -310,32 +322,12 @@ def resolve_selection(model, select, n):
 
 def _as_rows(model, x, select):
     """(single, (n, d) float64 rows, their Selection); select may be resolved."""
-    x = np.asarray(x, dtype=np.float64)
-    xb = np.atleast_2d(x)
-    if xb.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"input width {xb.shape[1]} != {model.layer_sizes[0]}")
+    single, xb = _rows(model, x, np.float64)
     if not isinstance(select, Selection):
         select = resolve_selection(model, select, len(xb))
     elif select.rows != len(xb):
         raise ValueError(f"selection resolved for {select.rows} rows, got {len(xb)}")
-    return x.ndim == 1, xb, select
-
-
-def _forward_rows(model, x, sel):
-    """Row-exact forward pass to each row's selected neuron.
-
-    Every hidden layer is activated, the selected one included; the output
-    layer never is. Returns (pre-activations per layer, selected outputs
-    (n,)); the last pre-activation is (n, 1).
-    """
-    pres, a = [], x
-    last = model.n_layers - 1
-    for layer, (w_t, b) in enumerate(zip(sel.weights_t, sel.biases)):
-        z = _rowwise(a, w_t)
-        z += b
-        pres.append(z)
-        a = _activate(z, model.activation, model.alpha) if layer < last else z
-    return pres, a[:, 0]
+    return single, xb, select
 
 
 def selected_output(model, x, select=None):
@@ -343,11 +335,11 @@ def selected_output(model, x, select=None):
 
     select is as in input_gradient. Accepts (d,) or (n, d); returns a float
     or (n,) array. Row r's value is forward()'s post-activation of its
-    selected neuron, computed as input_gradient's forward pass computes it,
-    with the bits of a lone input.
+    selected neuron, from input_gradient's forward pass (the layer loop with
+    _rowwise products), with the bits of a lone input.
     """
     single, xb, sel = _as_rows(model, x, select)
-    out = _forward_rows(model, xb, sel)[1]
+    out = _layers(model, xb, sel.weights_t, sel.biases, _rowwise)[1][-1][:, 0]
     return out[0] if single else out
 
 
@@ -360,21 +352,22 @@ def input_gradient(model, x, select=None):
     neuron is differentiated after its activation; layer n_layers is the
     output layer. select may also be the Selection that resolve_selection
     made for these rows, which a caller taking many steps resolves once.
-    The prefix layers run for all rows at once, in blocks of BLOCK_ROWS
-    rows, and the selected layer one row at a time (see _rowwise), so row
-    r's gradient is bit-identical to that of a lone input, at any batch
-    size. Parameters are untouched.
+    The forward pass is training's layer loop (_layers) with _rowwise as
+    its product: the prefix layers run for all rows at once, in blocks of
+    BLOCK_ROWS rows, and the selected layer one row at a time, so row r's
+    gradient is bit-identical to that of a lone input, at any batch size.
+    Parameters are untouched.
 
     Accepts (d,) or (n, d); returns the matching shape.
     """
     single, xb, sel = _as_rows(model, x, select)
-    pres, _ = _forward_rows(model, xb, sel)
+    pres, posts = _layers(model, xb, sel.weights_t, sel.biases, _rowwise)
     delta = np.ones((len(xb), 1))
     if sel.hidden:  # a hidden neuron: through its activation
-        delta *= _activate_grad(pres[-1], model.activation, model.alpha)
+        delta *= _activation_grad(model, pres[-1], posts[-1])
     for layer in range(len(sel.weights) - 1, 0, -1):
         delta = _rowwise(delta, sel.weights[layer])
-        delta *= _activate_grad(pres[layer - 1], model.activation, model.alpha)
+        delta *= _activation_grad(model, pres[layer - 1], posts[layer])
     grad = _rowwise(delta, sel.weights[0])
     return grad[0] if single else grad
 

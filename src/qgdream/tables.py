@@ -11,7 +11,7 @@ import csv
 import math
 from pathlib import Path
 
-from .edges import N_EDGES
+from .edges import DIRECTIONS, N_EDGES
 
 
 def _fmt(value):
@@ -79,7 +79,7 @@ def read_ensemble(path):
 def write_neuron_dreams(results, path):
     """One row per start of a (graphs, PM arrays) pair: init, 24 weights, 48 PM probabilities."""
     _write_csv(path, ["init"] + [f"w{i}" for i in range(N_EDGES)]
-               + [f"p_{d}_{k}" for d in "HVD" for k in range(16)],
+               + [f"p_{d}_{k}" for d in DIRECTIONS for k in range(16)],
                ([i] + [_fmt(v) for v in graph] + [_fmt(v) for v in pm.ravel()]
                 for i, (graph, pm) in enumerate(zip(*results))))
 

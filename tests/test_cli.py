@@ -85,6 +85,20 @@ def test_train_subcommand(workspace, tmp_path):
     assert manifest["input.0"] == str(ds)
 
 
+def test_train_history_flag_sets_curve_path(workspace, tmp_path):
+    root, ds, _ = workspace
+    out, curve = tmp_path / "net.ckpt", tmp_path / "curve.csv"
+    assert main(["train", "--dataset", str(ds), "--layers", "24,8,1",
+                 "--batch-size", "500", "--max-epochs", "2", "--patience", "2",
+                 "--seed", "1", "--history", str(curve), "--out", str(out)]) == 0
+    with open(curve, newline="") as f:
+        assert len(list(csv.DictReader(f))) == 2
+    manifest = parse_config(str(out) + ".manifest")
+    assert manifest["output.1"] == str(curve)
+    assert manifest["sha256.curve.csv"] == sha(curve)
+    assert not Path(str(out) + ".history.csv").exists()
+
+
 def test_train_summary_names_stop_reason_and_best_epoch(workspace, tmp_path, capsys):
     root, ds, _ = workspace
     out = tmp_path / "capped.ckpt"

@@ -69,6 +69,10 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp(sizes, seed=0)
 
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            init_mlp([24, 4, 1], activation="tanh", seed=0)
+
 
 class TestForward:
     def test_zero_params(self):
